@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import lexmap, mechanical, oracle
@@ -25,6 +26,13 @@ EXIT_UNDECIDED = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No option starts with '-' and a digit, so such an argument is a
+        # value ("F -1/3" or "--rho -1/3") that the library judges, not an
+        # unknown option.
+        self._negative_number_matcher = re.compile(r"-[0-9]")
+
     def error(self, message):  # keep exit codes under our control
         raise DomainError(message)
 

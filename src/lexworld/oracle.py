@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from .central import is_balanced
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .words import Seq, expansion
 
 
@@ -55,8 +55,10 @@ def _min_top(bound: Seq, max_period: int) -> Seq:
         raise DomainError(
             f"no feasible periodic sequence with period <= {max_period}")
     # paranoia: re-check the reported answer from scratch
-    assert all(s >= bound for s in best.shifts())
-    assert best == max(best.shifts())
+    if not all(s >= bound for s in best.shifts()):
+        raise InvariantError(f"oracle answer {best} has a shift below {bound}")
+    if best != max(best.shifts()):
+        raise InvariantError(f"oracle answer {best} is not its greatest shift")
     return best
 
 

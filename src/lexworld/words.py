@@ -14,6 +14,7 @@ relied on throughout and makes ``1`` a legitimate endpoint value.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -24,11 +25,20 @@ from .errors import DomainError, ParseError
 LT, EQ, GT = -1, 0, 1
 
 
+# str.translate table deleting the two binary letters.
+_DROP_BINARY = str.maketrans("", "", "01")
+
+
 def check_word(w: str) -> str:
-    """Validate that ``w`` is a string over {'0','1'} and return it."""
-    for i, c in enumerate(w):
-        if c not in "01":
-            raise ParseError(f"invalid character {c!r} in binary word", i)
+    """Validate that ``w`` is a string over {'0','1'} and return it.
+
+    The test is one ``str.translate`` call, so it runs in C; only a word
+    that fails it is scanned letter by letter, to report its first bad
+    index.
+    """
+    if w.translate(_DROP_BINARY):
+        i = next(i for i, c in enumerate(w) if c not in "01")
+        raise ParseError(f"invalid character {w[i]!r} in binary word", i)
     return w
 
 
@@ -59,9 +69,16 @@ def is_period(w: str, ell: int) -> bool:
 
 
 def primitive_root(w: str) -> str:
-    """The shortest word ``u`` with ``w == u**k``; ``w`` itself if primitive."""
-    p = minimal_period(w)
-    return w[:p] if len(w) % p == 0 else w
+    """The shortest word ``u`` with ``w == u**k``; ``w`` itself if primitive.
+
+    ``w`` equals its rotation by ``p`` exactly when ``p`` is a multiple of
+    the root's length, so the first occurrence of ``w`` in ``w + w`` after
+    index 0 sits at that length (at ``len(w)`` for a primitive word).
+    ``str.find`` locates it in linear time.
+    """
+    if not w:
+        raise DomainError("the empty word has no primitive root")
+    return w[:(w + w).find(w, 1)]
 
 
 @functools.total_ordering
@@ -73,6 +90,10 @@ class Seq:
     is as short as possible (its last letter differs from the period's last
     letter, so no rotation of the period can absorb it).  Equality of
     canonical forms is digitwise equality.
+
+    Construction costs time linear in ``|pre| + |per|``, nearly all of it in
+    C string methods; the preperiod loop below runs once per absorbed
+    letter, plus one comparison.
     """
 
     pre: str
@@ -84,9 +105,15 @@ class Seq:
         if not self.per:
             raise DomainError("period must be nonempty")
         pre, per = self.pre, primitive_root(self.per)
-        while pre and pre[-1] == per[-1]:
-            per = per[-1] + per[:-1]
-            pre = pre[:-1]
+        # The preperiod's last j letters agree with per^oo read backwards
+        # from the end of a period: absorb them by rotating right j places.
+        n, ell = len(pre), len(per)
+        j = 0
+        while j < n and pre[n - 1 - j] == per[ell - 1 - j % ell]:
+            j += 1
+        if j:
+            cut = ell - j % ell
+            pre, per = pre[:n - j], per[cut:] + per[:cut]
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
 
@@ -186,6 +213,25 @@ def canonicalize(pre: str, per: str) -> Seq:
     return Seq(pre, per)
 
 
+# Most digits (preperiod plus period) that ``expansion`` writes out; a
+# larger expansion is refused.  2**22 keeps every period up to four
+# million digits, e.g. 1/1000003 (period 1000002), in reach.
+EXPANSION_BUDGET = 1 << 22
+
+
+def _order_of_two(m: int, limit: int) -> int | None:
+    """The least ``ell >= 1`` with ``2**ell % m == 1``, for odd ``m >= 3``;
+    None if it exceeds ``limit``."""
+    r = 2
+    for ell in range(1, limit + 1):
+        if r == 1:
+            return ell
+        r += r
+        if r >= m:
+            r -= m
+    return None
+
+
 def expansion(x: Fraction, greater: bool = False) -> Seq:
     """The binary expansion of ``x`` in [0, 1] as a canonical sequence.
 
@@ -193,6 +239,15 @@ def expansion(x: Fraction, greater: bool = False) -> Seq:
     selects the terminating one (ending 1000...), otherwise the
     lexicographically smaller one (ending 0111...) is returned.  All other
     rationals have a unique expansion and the flag is ignored.
+
+    In integers only: with ``x = a / (2**k * m)`` in lowest terms and ``m``
+    odd, the preperiod is the k-digit numeral of ``a // m`` and the period
+    the L-digit numeral of ``(a % m) * (2**L - 1) // m``, where L is the
+    order of 2 modulo m (``m`` divides ``2**L - 1``).  These are exactly
+    the minimal preperiod and period.  The cost is linear in ``k + L``:
+    one doubling step per period digit to find L, and two divisions.  An
+    ``x`` whose expansion needs more than ``EXPANSION_BUDGET`` digits is
+    refused with DomainError.
     """
     x = Fraction(x)
     if x < 0 or x > 1:
@@ -201,25 +256,20 @@ def expansion(x: Fraction, greater: bool = False) -> Seq:
         return ZERO
     if x == 1:
         return ONE
-    digits: list[str] = []
-    pos: dict[Fraction, int] = {}
-    y = x
-    while y != 0 and y not in pos:
-        pos[y] = len(digits)
-        y *= 2
-        if y >= 1:
-            digits.append("1")
-            y -= 1
-        else:
-            digits.append("0")
-    body = "".join(digits)
-    if y == 0:
-        # dyadic: digits end in '1'
-        if greater:
-            return Seq(body, "0")
-        return Seq(body[:-1] + "0", "1")
-    i = pos[y]
-    return Seq(body[:i], body[i:])
+    a, b = x.numerator, x.denominator
+    k = (b & -b).bit_length() - 1
+    m = b >> k
+    ell = 0 if m == 1 else _order_of_two(m, EXPANSION_BUDGET - k)
+    if ell is None or k + ell > EXPANSION_BUDGET:
+        raise DomainError("the binary expansion of x needs more than "
+                          f"{EXPANSION_BUDGET} digits (preperiod plus period)")
+    if m == 1:
+        body = format(a, "b").zfill(k)  # ends in '1': a is odd
+        return Seq(body, "0") if greater else Seq(body[:-1] + "0", "1")
+    q, r = divmod(a, m)
+    pre = format(q, "b").zfill(k) if k else ""
+    per = format(r * ((1 << ell) - 1) // m, "b").zfill(ell)
+    return Seq(pre, per)
 
 
 def value(s: Seq) -> Fraction:
@@ -263,18 +313,26 @@ def parse_seq(text: str) -> Seq:
     return Seq(pre, per)
 
 
+# RATIONAL ::= "-"? DIGITS ("/" DIGITS)?     DIGITS ::= [0-9]+   (ASCII only)
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# Longest start of a text that some RATIONAL continues: its end is the
+# first index at which a malformed text goes wrong.
+_RATIONAL_START = re.compile(r"-?(?:[0-9]+(?:/[0-9]*)?)?")
+
+
 def parse_rational(text: str) -> Fraction:
+    """Read ``a`` or ``a/b`` (ASCII digits, optional leading '-', no spaces,
+    positive ``b``); a ParseError names the first offending position."""
+    if _RATIONAL.fullmatch(text) is None:
+        i = _RATIONAL_START.match(text).end()
+        if i == len(text):
+            raise ParseError("rational ends early", i)
+        raise ParseError(f"invalid character {text[i]!r} in rational", i)
     num, slash, den = text.partition("/")
     try:
-        n = int(num)
-    except ValueError:
-        raise ParseError(f"invalid integer {num!r}", 0) from None
-    if not slash:
-        return Fraction(n)
-    try:
-        d = int(den)
-    except ValueError:
-        raise ParseError(f"invalid integer {den!r}", len(num) + 1) from None
-    if d <= 0:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError as exc:  # past the interpreter's int-string limit
+        raise DomainError(f"rational too long: {exc}") from None
+    if d == 0:
         raise ParseError("denominator must be positive", len(num) + 1)
     return Fraction(n, d)

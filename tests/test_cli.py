@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+import time
+
+import pytest
 
 from lexworld.cli import run
 
@@ -150,6 +153,35 @@ def test_bad_rational_rejected(capsys):
     code, _, err = invoke(capsys, "F", "2/0")
     assert code == 1
     assert "denominator" in err
+
+
+@pytest.mark.parametrize("text,position", [
+    ("1_000/3001", 1), ("\u0661/\u0663", 0), (" 1/3 ", 0), ("1/3 ", 3)])
+def test_rational_outside_grammar_refused_with_position(capsys, text, position):
+    code, out, err = invoke(capsys, "F", text)
+    assert code == 1
+    assert out == ""
+    assert f"position {position}" in err
+
+
+def test_negative_rational_reaches_the_domain_check(capsys):
+    code, out, err = invoke(capsys, "F", "-1/3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: F is defined on [0, 1], got -1/3\n"
+
+
+def test_f_past_the_digit_budget_exits_quickly():
+    # the binary period of x is longer than the digit budget
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lexworld", "F",
+         "354224848179261915075/927372692193078999176"],
+        capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "digits" in proc.stderr
 
 
 def test_domain_error_exit_code(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -283,6 +284,16 @@ def test_f_is_monotone_on_a_grid():
     assert len(grid) >= 200
     values = [F(x).F for x in grid]
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def test_f_long_period_within_time_bound():
+    # x = 1/1000003 has a binary period of 1000002 digits
+    t0 = time.perf_counter()
+    res = F(Fraction(1, 1000003))
+    assert time.perf_counter() - t0 < 10
+    assert res.phi_expansion == Seq("", "1" + "0" * 18)
+    assert res.F == Fraction(2 ** 18, 2 ** 19 - 1)
+    assert res.verified
 
 
 def test_f_verified_flag_always_true():

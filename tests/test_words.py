@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lexworld.errors import DomainError, ParseError
-from lexworld.words import (EQ, GT, LT, ONE, ZERO, Seq, distinct_shifts,
-                            expansion, lex_compare, minimal_period, parse_seq,
-                            parse_rational, value)
+from lexworld.words import (EQ, EXPANSION_BUDGET, GT, LT, ONE, ZERO, Seq,
+                            check_word, distinct_shifts, expansion,
+                            lex_compare, minimal_period, parse_seq,
+                            parse_rational, primitive_root, value)
 
 words = st.text(alphabet="01", max_size=6)
 periods = st.text(alphabet="01", min_size=1, max_size=6)
@@ -36,6 +39,25 @@ def test_canonicalize_already_canonical():
 def test_period_must_be_nonempty():
     with pytest.raises(DomainError):
         Seq("0", "")
+
+
+def reference_canonical(pre, per):
+    """Primitive root by the minimal period, then one rotation per absorbed
+    preperiod letter: the original construction, kept as the reference."""
+    p = naive_minimal_period(per)
+    per = per[:p] if len(per) % p == 0 else per
+    while pre and pre[-1] == per[-1]:
+        per = per[-1] + per[:-1]
+        pre = pre[:-1]
+    return pre, per
+
+
+def test_canonical_form_matches_reference_exhaustive():
+    words_upto = ["".join(bits) for n in range(7) for bits in product("01", repeat=n)]
+    for pre in words_upto:
+        for per in words_upto[1:]:
+            s = Seq(pre, per)
+            assert (s.pre, s.per) == reference_canonical(pre, per), (pre, per)
 
 
 @given(seqs)
@@ -152,6 +174,95 @@ def test_round_trip_denominators_up_to_1e4(x, greater):
     assert value(expansion(x, greater=greater)) == x
 
 
+def reference_expansion(x, greater=False):
+    """The expansion by Fraction doubling until a remainder repeats: the
+    library's original algorithm, kept as the reference."""
+    x = Fraction(x)
+    if x == 0:
+        return ZERO
+    if x == 1:
+        return ONE
+    digits = []
+    pos = {}
+    y = x
+    while y != 0 and y not in pos:
+        pos[y] = len(digits)
+        y *= 2
+        if y >= 1:
+            digits.append("1")
+            y -= 1
+        else:
+            digits.append("0")
+    body = "".join(digits)
+    if y == 0:
+        if greater:
+            return Seq(body, "0")
+        return Seq(body[:-1] + "0", "1")
+    i = pos[y]
+    return Seq(body[:i], body[i:])
+
+
+def reference_table(b):
+    """{x: (lesser, greater)} from the reference, over reduced x = a/b.
+
+    Only dyadic x have two expansions, so other x need one reference call.
+    For odd b > 1 one call per doubling orbit suffices: such x are not
+    dyadic, so the expansion of frac(2^i x) is the i-th shift of the
+    expansion of x.
+    """
+    table = {}
+    for a in range(b + 1):
+        x = Fraction(a, b)
+        if x.denominator != b or x in table:
+            continue
+        s = reference_expansion(x)
+        if b & (b - 1) == 0:
+            table[x] = (s, reference_expansion(x, greater=True))
+        elif b % 2 == 0:
+            table[x] = (s, s)
+        else:
+            for i in range(len(s.per)):
+                table[x * 2 ** i % 1] = (s.shift(i), s.shift(i))
+    return table
+
+
+def test_expansion_matches_reference_below_400():
+    for b in range(1, 400):
+        for x, want in reference_table(b).items():
+            assert (expansion(x), expansion(x, greater=True)) == want, x
+
+
+def test_expansion_matches_reference_seeded_large_periods():
+    # x = a / (2^k m) with m odd and up to 10^6, so periods reach ~10^6
+    # digits, where the reference (about 8 us per digit) is too slow to
+    # run on all of them.  A non-dyadic rational has one binary expansion
+    # and Seq is canonical, so the exact value fixes the reference's Seq;
+    # periods of at most 256 digits are also compared with it directly.
+    rng = random.Random(20091)
+    for _ in range(3000):
+        k = rng.randrange(41)
+        m = round(10 ** rng.uniform(0, 6)) | 1
+        b = (1 << k) * m
+        a = rng.randrange(b + 1)
+        x = Fraction(a, b)
+        s = expansion(x)
+        assert s.value() == x, x
+        if x.denominator & (x.denominator - 1) == 0:  # dyadic
+            assert s == reference_expansion(x), x
+            assert expansion(x, True) == reference_expansion(x, True), x
+            continue
+        if len(s.per) <= 256:
+            assert s == reference_expansion(x), x
+
+
+def test_expansion_refuses_past_the_digit_budget():
+    assert EXPANSION_BUDGET >= 1 << 22
+    with pytest.raises(DomainError, match="digits"):
+        expansion(Fraction(354224848179261915075, 927372692193078999176))
+    with pytest.raises(DomainError, match="digits"):
+        expansion(Fraction(1, 1 << (EXPANSION_BUDGET + 1)))
+
+
 @given(seqs)
 def test_shift_doubles_value(s):
     # digit shift is exact doubling mod 1, except when the shifted sequence
@@ -195,6 +306,42 @@ def test_minimal_period_rejects_empty():
 @given(st.text(alphabet="01", min_size=1, max_size=12))
 def test_minimal_period_matches_naive_scan(w):
     assert minimal_period(w) == naive_minimal_period(w)
+
+
+def test_primitive_root_matches_minimal_period_definition():
+    for n in range(1, 13):
+        for bits in product("01", repeat=n):
+            w = "".join(bits)
+            p = naive_minimal_period(w)
+            assert primitive_root(w) == (w[:p] if n % p == 0 else w), w
+
+
+def test_primitive_root_rejects_empty():
+    with pytest.raises(DomainError):
+        primitive_root("")
+
+
+# -- word validation ------------------------------------------------------
+
+@pytest.mark.parametrize("w,index", [
+    ("01a01", 2),
+    ("0110 1", 4),
+    ("\t01", 0),
+    ("01\n", 2),
+    ("0\u0661", 1),     # ARABIC-INDIC DIGIT ONE
+    ("1\uff10", 1),     # FULLWIDTH DIGIT ZERO
+    ("00x0y", 2),
+])
+def test_check_word_reports_first_bad_index(w, index):
+    with pytest.raises(ParseError) as err:
+        check_word(w)
+    assert err.value.position == index
+    assert repr(w[index]) in str(err.value)
+
+
+def test_check_word_accepts_binary_words():
+    for w in ("", "0", "1", "0110" * 50):
+        assert check_word(w) is w
 
 
 # -- distinct shifts ------------------------------------------------------
@@ -254,10 +401,16 @@ def test_parse_rejects_empty_period():
 def test_parse_rational():
     assert parse_rational("2/5") == frac(2, 5)
     assert parse_rational("3") == frac(3)
-    with pytest.raises(ParseError):
-        parse_rational("2/0")
-    with pytest.raises(ParseError):
-        parse_rational("x/2")
+    assert parse_rational("-1/3") == frac(-1, 3)
+    assert parse_rational("007/010") == frac(7, 10)
+    # the grammar is -?[0-9]+(/[0-9]+)? in ASCII; errors name a position
+    for text, position in [("2/0", 2), ("x/2", 0), ("1_000/3001", 1),
+                           ("\u0661/\u0663", 0), (" 1/3 ", 0), ("1/3 ", 3),
+                           ("+1", 0), ("1/-3", 2), ("1.5", 1), ("1/2/3", 3),
+                           ("/3", 0), ("", 0), ("-", 1), ("1/", 2)]:
+        with pytest.raises(ParseError) as err:
+            parse_rational(text)
+        assert err.value.position == position, text
 
 
 @given(seqs)

@@ -8,7 +8,7 @@ and the least-upper-bound map phi on the lexicographic world.
 """
 
 from .cf import ContinuedFraction, cf_of_rational, directive_from_cf
-from .central import (CentralCertificate, central_from_slope,
+from .central import (CentralCertificate, central_from_slope, closure_chain,
                       directive_of_central, extremal_rotations, is_balanced,
                       is_central, pal, pal_extension, palindromic_closure,
                       standard_factorization)
@@ -22,8 +22,7 @@ from .mechanical import (characteristic_pair, characteristic_periodic_via_pal,
                          mech_periodic, mech_upper)
 from .oracle import (SweepConfig, brute_F, brute_phi, enumerate_central,
                      naive_balance, sandwich_census)
-from .words import (EQ, GT, LT, ONE, ZERO, Seq, canonicalize, distinct_shifts,
-                    expansion, lex_compare, minimal_period, parse_rational,
-                    parse_seq, parse_word, value)
+from .words import (EQ, GT, LT, ONE, ZERO, Seq, check_word, expansion,
+                    minimal_period, parse_rational, parse_seq)
 
 __version__ = "0.1.0"

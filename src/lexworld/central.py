@@ -11,6 +11,7 @@ whole structure.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -57,13 +58,47 @@ def palindromic_closure(w: str) -> str:
     return w  # only the empty word reaches here
 
 
+def closure_chain(directive: Iterable[str] | None = None, *,
+                  prefixes_of: str | None = None) -> Iterator[tuple[str, str]]:
+    """Per directive letter x, yield (piece, x): pal(v x) = pal(v) piece.
+
+    By Justin's formula (Justin 2005; de Luca 1997) the piece is x pal(v)
+    if x does not occur in v, else pal(v) less its prefix pal(v'), v' being
+    v before its last x; so each step costs its piece, a chain its final
+    length.  Give one source: ``directive`` (any iterable, even endless)
+    builds pal(v); ``prefixes_of`` walks a word, taking each letter from the
+    word after the current prefix and stopping before the first closure
+    that is not a prefix.  A word's central prefixes form this one chain,
+    so the walk's running lengths are exactly theirs.
+    """
+    if (directive is None) == (prefixes_of is None):
+        raise DomainError("closure_chain takes a directive or a word to walk")
+    walk = directive is None
+    letters = iter(() if walk else directive)
+    w = prefixes_of if walk else ""  # the walked word, or pal(v) so far
+    ends: list[int] = [0]  # ends[k] = len(pal(v[:k]))
+    last: dict[str, int] = {}  # letter -> index of its last occurrence in v
+    while not walk or ends[-1] < len(w):
+        n = ends[-1]
+        x = w[n] if walk else next(letters, None)
+        if x is None:
+            return
+        k = last.get(x)
+        piece = x + w[:n] if k is None else w[ends[k]:n]
+        if walk and not w.startswith(piece, n):
+            return
+        if not walk:
+            w += piece
+        last[x] = len(ends) - 1
+        ends.append(n + len(piece))
+        yield piece, x
+
+
 def pal(v: str) -> str:
-    """Iterated palindromic closure: pal(wx) = closure(pal(w) + x)."""
+    """Iterated palindromic closure: pal(wx) = closure(pal(w) + x), built
+    in linear time by ``closure_chain`` (Justin's formula)."""
     check_word(v)
-    w = ""
-    for c in v:
-        w = palindromic_closure(w + c)
-    return w
+    return "".join(piece for piece, _ in closure_chain(v))
 
 
 def _central_periods(w: str) -> tuple[int, int] | None:
@@ -134,7 +169,8 @@ class CentralCertificate:
 
 
 def is_central(w: str) -> CentralCertificate | None:
-    """Full certificate if ``w`` is central, else None."""
+    """Full certificate if ``w`` is central, else None; the directive is
+    read off the closure chain walked along ``w``."""
     check_word(w)
     if _central_periods(w) is None:
         return None
@@ -148,32 +184,22 @@ def is_central(w: str) -> CentralCertificate | None:
             raise InvariantError(f"period orientation broke down on {w!r}")
     else:
         w1 = w2 = None
-    return CentralCertificate(w, p, q, ell1, ell2, w1, w2, _directive(w))
-
-
-def _directive(w: str) -> str:
-    # Central prefixes of a central word form a chain; the directive letter
-    # of each step is the letter following the previous central prefix.
-    out = []
-    prev = 0
-    for length in range(1, len(w) + 1):
-        if _central_periods(w[:length]) is not None:
-            out.append(w[prev])
-            prev = length
-    if prev != len(w):
-        raise DomainError(f"{w!r} is not central")
-    return "".join(out)
+    n, directive = 0, []
+    for piece, x in closure_chain(prefixes_of=w):
+        n += len(piece)
+        directive.append(x)
+    if n != len(w):
+        raise InvariantError(f"the closure chain of central {w!r} stops early")
+    return CentralCertificate(w, p, q, ell1, ell2, w1, w2, "".join(directive))
 
 
 def directive_of_central(w: str) -> str:
-    """The unique v with pal(v) == w; rejects non-central words."""
-    check_word(w)
-    if _central_periods(w) is None:
+    """The unique v with pal(v) == w; rejects non-central words.  The
+    certificate checks pal(v) == w."""
+    cert = is_central(w)
+    if cert is None:
         raise DomainError(f"{w!r} is not central")
-    v = _directive(w)
-    if pal(v) != w:
-        raise InvariantError(f"directive recovery failed on {w!r}")
-    return v
+    return cert.directive
 
 
 def standard_factorization(cert: CentralCertificate) -> tuple[str, str]:

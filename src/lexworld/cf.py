@@ -49,10 +49,6 @@ class ContinuedFraction:
     def ends_in_one(self) -> bool:
         return len(self.digits) > 1 and self.digits[-1] == 1
 
-    @property
-    def parity(self) -> str:
-        return "even" if len(self.digits) % 2 == 0 else "odd"
-
     def alternate(self) -> "ContinuedFraction":
         """The other admissible spelling of the same rational."""
         a = list(self.digits)

@@ -18,7 +18,7 @@ from . import lexmap, mechanical, oracle
 from .central import (central_from_slope, is_central, pal,
                       palindromic_closure)
 from .errors import DomainError
-from .words import Seq, parse_rational, parse_seq, parse_word
+from .words import Seq, parse_rational, parse_seq
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -151,11 +151,11 @@ def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "pal":
-        _emit([("pal", pal(parse_word(args.word)))], as_json)
+        _emit([("pal", pal(args.word))], as_json)
     elif cmd == "closure":
-        _emit([("closure", palindromic_closure(parse_word(args.word)))], as_json)
+        _emit([("closure", palindromic_closure(args.word))], as_json)
     elif cmd == "central-check":
-        cert = is_central(parse_word(args.word))
+        cert = is_central(args.word)
         lines: list[tuple[str, object]] = [("central", cert is not None)]
         if cert is not None:
             lines += _cert_lines(cert, factors=True)
@@ -186,7 +186,7 @@ def _dispatch(args) -> int:
     elif cmd == "phi":
         return _run_phi(args, as_json)
     elif cmd == "phi-prefix":
-        decision = lexmap.phi_prefix(parse_word(args.word))
+        decision = lexmap.phi_prefix(args.word)
         if not decision.decided:
             _emit([("decided", False), ("reason", decision.reason)], as_json)
             return EXIT_UNDECIDED

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .central import (CentralCertificate, central_from_slope, is_balanced,
-                      is_central, palindromic_closure, _central_periods)
+from .central import (CentralCertificate, central_from_slope, closure_chain,
+                      is_balanced, is_central, _central_periods)
 from .errors import DomainError, InvariantError
 from .mechanical import characteristic_sturmian_prefix, is_sturmian_directive
-from .words import EQ, GT, LT, ONE, ZERO, Seq, check_word, expansion
+from .words import EQ, GT, LT, ONE, ZERO, Seq, check_word, expansion, numeral
 
 
 class Case(str, enum.Enum):
@@ -156,23 +156,29 @@ def _longest_central_prefix(u: Seq, trace: list[str]) -> tuple[str, str]:
 
     Central prefixes form a single closure chain, each step extending the
     directive by the letter of ``u`` right after the previous prefix, so
-    the first failed extension witnesses maximality.  Only reached for
-    generic ``u``, where the chain is finite.
+    the first failed extension witnesses maximality.  ``closure_chain``
+    walks it (Justin's formula) on a window of ``u`` that doubles until the
+    walk ends at a v with 2|v| + 1 inside it: no step from v reaches
+    further, so the failed step was decided inside the window.  Only
+    reached for generic ``u``, where the chain is finite.
     """
     cap = 64 * (len(u.pre) + len(u.per)) + 64
-    v, dirv = "", ""
+    n = 64
     while True:
-        c = u.digit(len(v))
-        nxt = palindromic_closure(v + c)
-        if not u.starts_with(nxt):
-            trace.append(
-                f"longest central prefix {v!r} (extension by {c!r} fails)")
-            return v, dirv
-        v, dirv = nxt, dirv + c
+        window, end, dirv = u.prefix(n), 0, []
+        for piece, c in closure_chain(prefixes_of=window):
+            end += len(piece)
+            dirv.append(c)
+        v = window[:end]
         if len(v) > cap:
             raise InvariantError(
                 f"central prefixes of {u} exceed the safety cap {cap}; "
                 "the input should have been classified as characteristic")
+        if 2 * len(v) < n:
+            trace.append(f"longest central prefix {v!r} "
+                         f"(extension by {u.digit(len(v))!r} fails)")
+            return v, "".join(dirv)
+        n *= 2
 
 
 def phi_zero_u(u: Seq) -> PhiResult:
@@ -333,12 +339,8 @@ def _mismatch(word: str, s: Seq) -> int | None:
 def _prefix_case(p_word: str, w: str) -> tuple[Case, str]:
     # Diagnostic tag from the longest central prefix visible in the input;
     # the phi value itself does not depend on this.
-    v, n = "", len(p_word)
-    while len(v) < n:
-        nxt = palindromic_closure(v + p_word[len(v)])
-        if len(nxt) > n or not p_word.startswith(nxt):
-            break
-        v = nxt
+    v = p_word[:sum(len(piece) for piece, _ in
+                    closure_chain(prefixes_of=p_word))]
     letters = set(v)
     if letters == {"1"}:
         return Case.I, v
@@ -437,7 +439,7 @@ def F(x: Fraction) -> FResult:
     """
     x = Fraction(x)
     if x < 0 or x > 1:
-        raise DomainError(f"F is defined on [0, 1], got {x}")
+        raise DomainError(f"F is defined on [0, 1], got {numeral(x)}")
     if x > Fraction(1, 2):
         a = expansion(x)
         if not sigma_member(ONE, a, ONE):
@@ -454,7 +456,9 @@ def F(x: Fraction) -> FResult:
     threshold = x + Fraction(1, 2)
     cmp = LT if fval < threshold else EQ if fval == threshold else GT
     if res.case is Case.IV and cmp == GT:
-        raise InvariantError(f"F({x}) exceeds x + 1/2 in the characteristic case")
+        raise InvariantError(
+            f"F({numeral(x)}) exceeds x + 1/2 in the characteristic case")
     if res.longest_central_prefix is not None and cmp != LT:
-        raise InvariantError(f"F({x}) fails the strict bound below x + 1/2")
+        raise InvariantError(
+            f"F({numeral(x)}) fails the strict bound below x + 1/2")
     return FResult(x, fval, res.phi, res.case, True, cmp)

@@ -10,26 +10,20 @@ directive sequences, whose block lengths encode the continued fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import ceil, floor, gcd
 
-from .cf import ContinuedFraction, cf_of_rational, directive_from_cf
-from .central import central_from_slope, palindromic_closure
+from .cf import cf_of_rational, directive_from_cf
+from .central import central_from_slope, closure_chain
 from .errors import DomainError, InvariantError
-from .words import Seq
-
-__all__ = [
-    "ContinuedFraction", "cf_of_rational", "directive_from_cf",
-    "mech_lower", "mech_upper", "mech_periodic", "characteristic_pair",
-    "characteristic_periodic_via_pal", "characteristic_sturmian_prefix",
-    "is_sturmian_directive", "pal_prefix",
-]
+from .words import Seq, numeral
 
 
 def _check_params(alpha: Fraction, rho: Fraction, n: int) -> None:
     if not 0 <= alpha <= 1:
-        raise DomainError(f"slope must lie in [0, 1], got {alpha}")
+        raise DomainError(f"slope must lie in [0, 1], got {numeral(alpha)}")
     if not 0 <= rho <= 1:
-        raise DomainError(f"intercept must lie in [0, 1], got {rho}")
+        raise DomainError(f"intercept must lie in [0, 1], got {numeral(rho)}")
     if n < 0:
         raise DomainError("index must be nonnegative")
 
@@ -79,10 +73,9 @@ def pal_prefix(delta: Seq, min_len: int) -> str:
     """A prefix of the iterated palindromic closure of the digits of ``delta``
     with length at least ``min_len``."""
     w = ""
-    k = 0
+    steps = closure_chain(map(delta.digit, count()))
     while len(w) < min_len:
-        w = palindromic_closure(w + delta.digit(k))
-        k += 1
+        w += next(steps)[0]
     return w
 
 
@@ -119,12 +112,7 @@ def characteristic_periodic_via_pal(p: int, q: int, variant: str = "xy") -> Seq:
     head = directive_from_cf(cf) + (x if variant == "xy" else y)
     tail = y if variant == "xy" else x
 
-    w = ""
-    k = 0
-    while len(w) < 2 * q + 2:
-        c = head[k] if k < len(head) else tail
-        w = palindromic_closure(w + c)
-        k += 1
+    w = pal_prefix(Seq(head, tail), 2 * q + 2)
     result = Seq("", w[:q])
     if not result.starts_with(w):
         raise InvariantError(f"slope {p}/{q}: closure prefix is not periodic")

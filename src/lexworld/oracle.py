@@ -16,7 +16,7 @@ from itertools import product
 
 from .central import is_balanced
 from .errors import DomainError, InvariantError
-from .words import Seq, expansion
+from .words import Seq, expansion, numeral
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def brute_F(x: Fraction, cfg: SweepConfig = SweepConfig()) -> Fraction:
     expansion of x (so dyadic x constrains exactly like the real x)."""
     x = Fraction(x)
     if x < 0 or x > 1:
-        raise DomainError(f"F is defined on [0, 1], got {x}")
+        raise DomainError(f"F is defined on [0, 1], got {numeral(x)}")
     return _min_top(expansion(x), cfg.max_period).value()
 
 

@@ -167,10 +167,6 @@ class Seq:
     def purely_periodic(self) -> bool:
         return not self.pre
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.pre and len(self.per) == 1
-
     # -- order and value ------------------------------------------------
 
     def compare(self, other: "Seq") -> int:
@@ -204,13 +200,14 @@ ZERO = Seq("", "0")
 ONE = Seq("", "1")
 
 
-def lex_compare(s: Seq, t: Seq) -> int:
-    return s.compare(t)
-
-
-def canonicalize(pre: str, per: str) -> Seq:
-    """Build the canonical sequence equal to ``pre . per^oo`` digit by digit."""
-    return Seq(pre, per)
+def numeral(x: Fraction) -> str:
+    """``str(x)``, or its sign and bit lengths past the int-string limit."""
+    try:
+        return str(x)
+    except ValueError:
+        x = Fraction(x)
+        return (f"{'-' if x < 0 else ''}p/q with p of {x.numerator.bit_length()}"
+                f" and q of {x.denominator.bit_length()} binary digits")
 
 
 # Most digits (preperiod plus period) that ``expansion`` writes out; a
@@ -251,7 +248,7 @@ def expansion(x: Fraction, greater: bool = False) -> Seq:
     """
     x = Fraction(x)
     if x < 0 or x > 1:
-        raise DomainError(f"expansion requires 0 <= x <= 1, got {x}")
+        raise DomainError(f"expansion requires 0 <= x <= 1, got {numeral(x)}")
     if x == 0:
         return ZERO
     if x == 1:
@@ -272,14 +269,6 @@ def expansion(x: Fraction, greater: bool = False) -> Seq:
     return Seq(pre, per)
 
 
-def value(s: Seq) -> Fraction:
-    return s.value()
-
-
-def distinct_shifts(s: Seq) -> list[Seq]:
-    return s.shifts()
-
-
 # -- text grammar -------------------------------------------------------
 #
 # WORD ::= [01]*          SEQ ::= WORD | WORD "(" WORD ")"
@@ -287,10 +276,6 @@ def distinct_shifts(s: Seq) -> list[Seq]:
 # "pre(per)" denotes pre . per^oo; a bare word w is read as w . 0^oo (the
 # terminating-expansion convention).  Printing always uses the pre(per)
 # spelling of the canonical form.
-
-
-def parse_word(text: str) -> str:
-    return check_word(text)
 
 
 def parse_seq(text: str) -> Seq:

@@ -10,12 +10,12 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from lexworld.cf import cf_of_rational, directive_from_cf
 from lexworld.central import (central_from_slope, is_central, pal,
                               palindromic_closure, standard_factorization)
 from lexworld.lexmap import Case, F, phi_prefix, phi_zero_u, verify_phi
-from lexworld.mechanical import (cf_of_rational, characteristic_pair,
-                                 characteristic_sturmian_prefix,
-                                 directive_from_cf, mech_periodic)
+from lexworld.mechanical import (characteristic_pair,
+                                 characteristic_sturmian_prefix, mech_periodic)
 from lexworld.oracle import (SweepConfig, brute_F, brute_phi,
                              enumerate_central, sandwich_census)
 from lexworld.words import Seq

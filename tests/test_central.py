@@ -1,14 +1,18 @@
+import random
+import time
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lexworld.central import (central_from_slope,
-                              directive_of_central, extremal_rotations,
-                              is_balanced, is_central, pal, pal_extension,
-                              palindromic_closure, standard_factorization)
+from lexworld.central import (_central_periods, central_from_slope,
+                              closure_chain, directive_of_central,
+                              extremal_rotations, is_balanced, is_central,
+                              pal, pal_extension, palindromic_closure,
+                              standard_factorization)
 from lexworld.errors import DomainError
+from lexworld.mechanical import mech_periodic
 
 
 def central_words_upto(max_len):
@@ -76,10 +80,17 @@ def test_pal_examples(v, expected):
 
 
 def test_pal_prefix_monotone():
+    # Every closure_chain step equals one palindromic_closure step, on all
+    # 8,191 directives of <= 12 letters, so pal(v[:k]) is a prefix of pal(v).
     for v in central_directives_upto(12):
-        image = pal(v)
-        for k in range(len(v)):
-            assert image.startswith(pal(v[:k]))
+        w = ""
+        steps = list(closure_chain(v))
+        assert [x for _, x in steps] == list(v)
+        for piece, x in steps:
+            nxt = palindromic_closure(w + x)
+            assert nxt == w + piece, (v, x)
+            w = nxt
+        assert pal(v) == w
 
 
 def central_directives_upto(max_len):
@@ -98,6 +109,61 @@ def test_pal_injective_up_to_ten():
         w = pal(v)
         assert w not in seen, f"pal({v}) == pal({seen[w]})"
         seen[w] = v
+
+
+def test_pal_chain_needs_exactly_one_source():
+    with pytest.raises(DomainError):
+        list(closure_chain())
+    with pytest.raises(DomainError):
+        list(closure_chain("01", prefixes_of="010"))
+
+
+def walked_prefixes(word):
+    out, n = [], 0
+    for piece, _ in closure_chain(prefixes_of=word):
+        n += len(piece)
+        out.append(word[:n])
+    return out
+
+
+def scanned_prefixes(word):
+    return [word[:k] for k in range(1, len(word) + 1)
+            if _central_periods(word[:k]) is not None]
+
+
+def test_pal_chain_walk_matches_period_scan_up_to_fourteen():
+    # Depth-first over all words of <= 14 letters: a word's central
+    # prefixes are its parent's plus, if central, the word itself.
+    stack = [("", [])]
+    count = 0
+    while stack:
+        w, central = stack.pop()
+        assert walked_prefixes(w) == central, w
+        count += 1
+        if len(w) < 14:
+            for c in "01":
+                nxt = w + c
+                hit = _central_periods(nxt) is not None
+                stack.append((nxt, central + [nxt] if hit else central))
+    assert count == 2 ** 15 - 1
+
+
+def test_pal_chain_walk_matches_period_scan_on_long_words():
+    rng = random.Random(20261018)
+    words = []
+    for _ in range(8):
+        n = rng.randrange(100, 2001)
+        words.append("".join(rng.choice("01") for _ in range(n)))
+    for _ in range(8):
+        q = rng.randrange(100, 2001)
+        p = rng.choice([p for p in range(1, q) if gcd(p, q) == 1])
+        n = rng.randrange(100, 2001)
+        w = list(mech_periodic(p, q).shift(1).prefix(n))
+        j = rng.randrange(n)
+        w[j] = "1" if w[j] == "0" else "0"
+        words.append("".join(w))
+    for w in words:
+        assert walked_prefixes(w) == scanned_prefixes(w), w
 
 
 # -- recognition --------------------------------------------------------------
@@ -185,6 +251,13 @@ def test_central_from_slope_rejects_bad_input():
         central_from_slope(0, 3)
 
 
+def test_central_from_slope_fibonacci_within_time_bound():
+    t0 = time.perf_counter()
+    cert = central_from_slope(6765, 10946)
+    assert time.perf_counter() - t0 < 5
+    assert len(cert.word) == 10944 and cert.directive == "10" * 9
+
+
 def test_slope_recovery_round_trip():
     for q in range(2, 21):
         for p in range(1, q):
@@ -236,6 +309,12 @@ def test_directive_of_central_rejects_non_central():
 def test_directive_round_trip():
     for w in central_words_upto(12):
         assert pal(directive_of_central(w)) == w
+
+
+def test_directive_of_long_constant_word_within_time_bound():
+    t0 = time.perf_counter()
+    assert directive_of_central("0" * 40000) == "0" * 40000
+    assert time.perf_counter() - t0 < 5
 
 
 # -- rotations ---------------------------------------------------------------

@@ -2,14 +2,18 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
+from lexworld.central import palindromic_closure
 from lexworld.errors import DomainError
 from lexworld.lexmap import (Case, F, classify, lex_world_member, phi,
                              phi_prefix, phi_sturmian, phi_zero_u,
                              sigma_member, verify_phi, KIND_ALL_ONE,
-                             KIND_ALL_ZERO, KIND_CPB, KIND_GENERIC)
+                             KIND_ALL_ZERO, KIND_CPB, KIND_GENERIC,
+                             _longest_central_prefix)
+from lexworld.mechanical import mech_periodic
 from lexworld.words import LT, EQ, ONE, ZERO, Seq
 
 Fr = Fraction
@@ -254,6 +258,9 @@ def test_f_rejects_outside_unit_interval():
         F(Fr(-1, 2))
     with pytest.raises(DomainError):
         F(Fr(5, 4))
+    # numerals past the interpreter's int-string limit
+    with pytest.raises(DomainError, match="binary digits"):
+        F(3 + Fr(1, 2 ** 20000))
 
 
 def test_f_boundary_cases_and_tags():
@@ -312,3 +319,50 @@ def test_phi_self_consistent_on_small_eventually_periodic_family():
         assert b == max(b.shifts())
         checked += 1
     assert checked > 1000
+
+
+# -- the longest central prefix ----------------------------------------------------
+
+def reference_longest_central_prefix(u):
+    """The original loop: one palindromic closure per step, each checked
+    against a prefix of u."""
+    v, dirv = "", ""
+    while True:
+        c = u.digit(len(v))
+        nxt = palindromic_closure(v + c)
+        if not u.starts_with(nxt):
+            return v, dirv
+        v, dirv = nxt, dirv + c
+
+
+def test_longest_central_prefix_matches_reference_on_small_family():
+    checked = 0
+    for u in all_canonical_seqs(3, 8):
+        if classify(u).kind != KIND_GENERIC:
+            continue
+        trace = []
+        assert _longest_central_prefix(u, trace) == \
+            reference_longest_central_prefix(u), u
+        assert "longest central prefix" in trace[0]
+        checked += 1
+    assert checked > 1000
+
+
+def test_longest_central_prefix_matches_reference_past_the_window():
+    # Perturbed characteristic words carry central prefixes of hundreds of
+    # letters, so the walk's window has to double several times.
+    rng = random.Random(20261018)
+    longest = 0
+    for _ in range(60):
+        q = rng.randrange(20, 400)
+        p = rng.choice([p for p in range(1, q) if gcd(p, q) == 1])
+        j = rng.randrange(1, 3 * q)
+        c = mech_periodic(p, q).shift(1).prefix(j + 1)
+        pre = c[:j] + ("1" if c[j] == "0" else "0")
+        u = Seq(pre, rng.choice(["0", "1", "01", "110"]))
+        if classify(u).kind != KIND_GENERIC:
+            continue
+        got = _longest_central_prefix(u, [])
+        assert got == reference_longest_central_prefix(u), u
+        longest = max(longest, len(got[0]))
+    assert longest > 256

@@ -3,13 +3,13 @@ from math import gcd
 
 import pytest
 
+from lexworld.cf import cf_of_rational, directive_from_cf
 from lexworld.central import central_from_slope, is_balanced, pal
 from lexworld.errors import DomainError
-from lexworld.mechanical import (cf_of_rational, characteristic_pair,
+from lexworld.mechanical import (characteristic_pair,
                                  characteristic_periodic_via_pal,
-                                 characteristic_sturmian_prefix,
-                                 directive_from_cf, mech_lower, mech_periodic,
-                                 mech_upper)
+                                 characteristic_sturmian_prefix, mech_lower,
+                                 mech_periodic, mech_upper)
 from lexworld.words import Seq
 
 F = Fraction
@@ -41,6 +41,9 @@ def test_digit_formulas_reject_out_of_range():
         mech_lower(F(3, 2), F(0), 0)
     with pytest.raises(DomainError):
         mech_upper(F(1, 2), F(2), 0)
+    # numerals past the interpreter's int-string limit
+    with pytest.raises(DomainError, match="binary digits"):
+        mech_lower(F(-1, 2 ** 20000), F(0), 0)
 
 
 # -- periodic objects ---------------------------------------------------------

@@ -58,6 +58,14 @@ def test_enumerate_central_small():
     assert "010010" in enumerate_central(6)
 
 
+def test_brute_f_rejects_outside_unit_interval():
+    with pytest.raises(DomainError):
+        brute_F(Fr(5, 4))
+    # numerals past the interpreter's int-string limit
+    with pytest.raises(DomainError, match="binary digits"):
+        brute_F(Fr(-1, 2 ** 20000))
+
+
 def test_enumerate_central_guard():
     with pytest.raises(DomainError):
         enumerate_central(21)

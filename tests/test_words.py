@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from lexworld.errors import DomainError, ParseError
 from lexworld.words import (EQ, EXPANSION_BUDGET, GT, LT, ONE, ZERO, Seq,
-                            check_word, distinct_shifts, expansion,
-                            lex_compare, minimal_period, parse_seq,
-                            parse_rational, primitive_root, value)
+                            check_word, expansion, minimal_period, parse_seq,
+                            parse_rational, primitive_root)
 
 words = st.text(alphabet="01", max_size=6)
 periods = st.text(alphabet="01", min_size=1, max_size=6)
@@ -90,20 +89,20 @@ def test_shift_composition(s, j, k):
 # -- lexicographic order --------------------------------------------------
 
 def test_compare_constants():
-    assert lex_compare(ZERO, ONE) == LT
+    assert ZERO.compare(ONE) == LT
 
 
 def test_compare_characteristic_pair_slope_two_fifths():
-    assert lex_compare(Seq("", "01001"), Seq("", "01010")) == LT
+    assert Seq("", "01001").compare(Seq("", "01010")) == LT
 
 
 def test_compare_mixed_preperiod():
-    assert lex_compare(Seq("00", "1"), Seq("", "010")) == LT
+    assert Seq("00", "1").compare(Seq("", "010")) == LT
 
 
 @given(seqs, seqs)
 def test_compare_matches_first_mismatch(s, t):
-    c = lex_compare(s, t)
+    c = s.compare(t)
     window = max(len(s.pre), len(t.pre)) + len(s.per) * len(t.per)
     diffs = [i for i in range(window) if s.digit(i) != t.digit(i)]
     if c == EQ:
@@ -116,14 +115,14 @@ def test_compare_matches_first_mismatch(s, t):
 
 @given(seqs, seqs)
 def test_order_implies_value_order(s, t):
-    if lex_compare(s, t) != GT:
-        assert value(s) <= value(t)
+    if s.compare(t) != GT:
+        assert s.value() <= t.value()
 
 
 @given(seqs, seqs)
 def test_equal_values_under_strict_order_are_dyadic_twins(s, t):
-    if lex_compare(s, t) == LT and value(s) == value(t):
-        x = value(s)
+    if s.compare(t) == LT and s.value() == t.value():
+        x = s.value()
         assert s == expansion(x) and t == expansion(x, greater=True)
 
 
@@ -135,7 +134,7 @@ def test_equal_values_under_strict_order_are_dyadic_twins(s, t):
     ("1", frac(1)),
 ])
 def test_value_pure_periods(per, expected):
-    assert value(Seq("", per)) == expected
+    assert Seq("", per).value() == expected
 
 
 def test_expansion_unique():
@@ -158,20 +157,23 @@ def test_expansion_endpoints():
 def test_expansion_rejects_outside_unit_interval():
     with pytest.raises(DomainError):
         expansion(frac(3, 2))
+    # numerals past the interpreter's int-string limit
+    with pytest.raises(DomainError, match="binary digits"):
+        expansion(Fraction(-1, 2 ** 20000))
 
 
 def test_round_trip_small_denominators_exhaustive():
     for b in range(1, 41):
         for a in range(b + 1):
             x = frac(a, b)
-            assert value(expansion(x)) == x
-            assert value(expansion(x, greater=True)) == x
+            assert expansion(x).value() == x
+            assert expansion(x, greater=True).value() == x
 
 
 @given(st.fractions(min_value=0, max_value=1, max_denominator=10**4),
        st.booleans())
 def test_round_trip_denominators_up_to_1e4(x, greater):
-    assert value(expansion(x, greater=greater)) == x
+    assert expansion(x, greater=greater).value() == x
 
 
 def reference_expansion(x, greater=False):
@@ -268,17 +270,17 @@ def test_shift_doubles_value(s):
     # digit shift is exact doubling mod 1, except when the shifted sequence
     # is the all-ones expansion, which this library reads as the value 1
     if s.shift(1) == ONE:
-        assert value(s.shift(1)) == 1
+        assert s.shift(1).value() == 1
     else:
-        two_v = 2 * value(s)
-        assert value(s.shift(1)) == two_v - (1 if s.digit(0) == "1" else 0)
+        two_v = 2 * s.value()
+        assert s.shift(1).value() == two_v - (1 if s.digit(0) == "1" else 0)
 
 
 def test_shift_doubling_exception_is_the_lesser_half():
     # 0(1)^oo has value 1/2 but its shift reads as 1, not frac(2 * 1/2) = 0
     s = Seq("0", "1")
-    assert value(s) == frac(1, 2)
-    assert value(s.shift(1)) == 1
+    assert s.value() == frac(1, 2)
+    assert s.shift(1).value() == 1
 
 
 # -- minimal period -------------------------------------------------------
@@ -347,11 +349,11 @@ def test_check_word_accepts_binary_words():
 # -- distinct shifts ------------------------------------------------------
 
 def test_distinct_shifts_pure_period():
-    assert set(distinct_shifts(Seq("", "10"))) == {Seq("", "10"), Seq("", "01")}
+    assert set(Seq("", "10").shifts()) == {Seq("", "10"), Seq("", "01")}
 
 
 def test_distinct_shifts_with_preperiod():
-    got = distinct_shifts(Seq("1", "10"))
+    got = Seq("1", "10").shifts()
     assert got == [Seq("1", "10"), Seq("", "10"), Seq("", "01")]
 
 
@@ -359,16 +361,16 @@ def test_distinct_shifts_alias_collapses_first():
     # 0.(10)^oo is (01)^oo in canonical form, so only two shifts exist
     s = Seq("0", "10")
     assert s == Seq("", "01")
-    assert distinct_shifts(s) == [Seq("", "01"), Seq("", "10")]
+    assert s.shifts() == [Seq("", "01"), Seq("", "10")]
 
 
 def test_distinct_shifts_primitive_period_five():
-    assert len(distinct_shifts(Seq("", "01001"))) == 5
+    assert len(Seq("", "01001").shifts()) == 5
 
 
 @given(seqs)
 def test_distinct_shifts_cover_all_iterates(s):
-    shifts = set(distinct_shifts(s))
+    shifts = set(s.shifts())
     assert len(shifts) <= len(s.pre) + len(s.per)
     for k in range(25):
         assert s.shift(k) in shifts

@@ -12,12 +12,11 @@ whole structure.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from math import gcd
 
 from .cf import cf_of_rational, directive_from_cf
-from .errors import DomainError, InvariantError
-from .words import check_word, is_period, minimal_period
+from .errors import DomainError, InvariantError, read_only
+from .words import check_word, is_period, minimal_period, numeral
 
 
 def is_balanced(w: str) -> bool:
@@ -117,7 +116,6 @@ def _central_periods(w: str) -> tuple[int, int] | None:
     return (ell, m)
 
 
-@dataclass(frozen=True)
 class CentralCertificate:
     """A central word with its slope, period pair, factorisation, directive.
 
@@ -126,46 +124,56 @@ class CentralCertificate:
     ell1 + ell2 = q, oriented so that word = w1 01 w2 = w2 10 w1 with
     |w1| = ell1 - 2 and |w2| = ell2 - 2 whenever both letters occur
     (w1 and w2 are None for words in 0* or 1*).  ell2 is the period m
-    with m*p = 1 (mod q).  pal(directive) reproduces the word.
+    with m*p = 1 (mod q).  pal(directive) reproduces the word.  The
+    constructor checks all of this; instances are immutable.
     """
 
-    word: str
-    p: int
-    q: int
-    ell1: int
-    ell2: int
-    w1: str | None
-    w2: str | None
-    directive: str
+    __slots__ = ("word", "p", "q", "ell1", "ell2", "w1", "w2", "directive")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        w, p, q = self.word, self.p, self.q
+    def __init__(self, word: str, p: int, q: int, ell1: int, ell2: int,
+                 w1: str | None, w2: str | None, directive: str):
+        w = word
         ok = (
             0 < p < q
             and gcd(p, q) == 1
             and len(w) == q - 2
             and w.count("1") == p - 1
-            and self.ell1 + self.ell2 == q
-            and gcd(self.ell1, self.ell2) == 1
-            and self.ell2 * p % q == 1
-            and (not w or is_period(w, self.ell1))
-            and (not w or is_period(w, self.ell2))
-            and (not w or min(self.ell1, self.ell2) == minimal_period(w))
-            and pal(self.directive) == w
+            and ell1 + ell2 == q
+            and gcd(ell1, ell2) == 1
+            and ell2 * p % q == 1
+            and (not w or is_period(w, ell1))
+            and (not w or is_period(w, ell2))
+            and (not w or min(ell1, ell2) == minimal_period(w))
+            and pal(directive) == w
         )
         if ok and "0" in w and "1" in w:
-            w1, w2 = self.w1, self.w2
             ok = (
                 w1 is not None
                 and w2 is not None
-                and len(w1) == self.ell1 - 2
-                and len(w2) == self.ell2 - 2
+                and len(w1) == ell1 - 2
+                and len(w2) == ell2 - 2
                 and w == w1 + "01" + w2 == w2 + "10" + w1
             )
         elif ok:
-            ok = self.w1 is None and self.w2 is None
+            ok = w1 is None and w2 is None
         if not ok:
             raise InvariantError(f"inconsistent central certificate for {w!r}")
+        for name, value in zip(self.__slots__,
+                               (word, p, q, ell1, ell2, w1, w2, directive)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return (self.word, self.p, self.q, self.ell1, self.ell2, self.w1,
+                self.w2, self.directive)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def is_central(w: str) -> CentralCertificate | None:
@@ -209,13 +217,46 @@ def standard_factorization(cert: CentralCertificate) -> tuple[str, str]:
     return cert.w1, cert.w2
 
 
+# str.translate table exchanging the two letters.
+_COMPLEMENT = str.maketrans("01", "10")
+
+
+def _least_rotation(w: str) -> int:
+    """Start of the least rotation of ``w``, by Booth's algorithm (Booth
+    1980): a KMP failure function over ``w + w`` whose candidate start
+    ``k`` moves right on every mismatch that finds a smaller letter, so
+    the scan is linear in len(w)."""
+    d = w + w
+    fail = [-1] * len(d)
+    k = 0
+    for j in range(1, len(d)):
+        c = d[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != d[k + i + 1]:
+            if c < d[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != d[k + i + 1]:  # here i == -1
+            if c < d[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
 def extremal_rotations(w: str) -> tuple[str, str]:
-    """(least, greatest) circular shift of a nonempty word."""
+    """(least, greatest) circular shift of a nonempty word, in linear time.
+
+    The least rotation comes from Booth's algorithm; exchanging the letters
+    reverses the order, so the greatest rotation starts where the least
+    rotation of the complement does.
+    """
     check_word(w)
     if not w:
         raise DomainError("the empty word has no rotations")
-    rots = [w[i:] + w[:i] for i in range(len(w))]
-    return min(rots), max(rots)
+    lo, hi = _least_rotation(w), _least_rotation(w.translate(_COMPLEMENT))
+    return w[lo:] + w[:lo], w[hi:] + w[:hi]
 
 
 def pal_extension(cert: CentralCertificate, x: str) -> str:
@@ -245,7 +286,8 @@ def central_from_slope(p: int, q: int) -> CentralCertificate:
     (q - m, m) with m*p = 1 (mod q).  All three must agree.
     """
     if not (0 < p < q) or gcd(p, q) != 1:
-        raise DomainError(f"need coprime 0 < p < q, got {p}/{q}")
+        raise DomainError(
+            f"need coprime 0 < p < q, got {numeral(p)}/{numeral(q)}")
     # (a) floor-difference digits of slope p/q, intercept 0
     digits = "".join(str((n + 1) * p // q - n * p // q) for n in range(q))
     if digits[0] != "0" or digits[-1] != "1":

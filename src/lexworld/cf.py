@@ -9,24 +9,33 @@ that produces the standard word of slope p/q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, read_only
+from .words import numeral
 
 
-@dataclass(frozen=True)
 class ContinuedFraction:
     """Partial quotients after the integer part 0; all entries >= 1."""
 
-    digits: tuple[int, ...]
+    __slots__ = ("digits",)
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        if not self.digits or any(a < 1 for a in self.digits):
+    def __init__(self, digits: tuple[int, ...]):
+        if not digits or any(a < 1 for a in digits):
             raise DomainError("partial quotients must be positive")
-        if self.digits == (1,):
+        if digits == (1,):
             raise DomainError("[0; 1] = 1 is not in (0, 1)")
+        object.__setattr__(self, "digits", digits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.digits == other.digits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.digits)
 
     @classmethod
     def from_rational(cls, p: int, q: int) -> "ContinuedFraction":
@@ -75,9 +84,9 @@ class ContinuedFraction:
 
 def _check_slope(p: int, q: int) -> None:
     if not (0 < p < q):
-        raise DomainError(f"need 0 < p < q, got p={p}, q={q}")
+        raise DomainError(f"need 0 < p < q, got p={numeral(p)}, q={numeral(q)}")
     if gcd(p, q) != 1:
-        raise DomainError(f"p={p} and q={q} are not coprime")
+        raise DomainError(f"p={numeral(p)} and q={numeral(q)} are not coprime")
 
 
 def cf_of_rational(p: int, q: int) -> ContinuedFraction:

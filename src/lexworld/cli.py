@@ -10,7 +10,6 @@ phi-prefix query that the given prefix does not decide.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -47,6 +46,7 @@ def _fmt(value) -> str:
 
 def _emit(lines: list[tuple[str, object]], as_json: bool) -> None:
     if as_json:
+        import json  # only --emit json pays for it at start-up
         payload = {k: (v if isinstance(v, (bool, int)) or v is None else str(v))
                    for k, v in lines}
         print(json.dumps(payload))

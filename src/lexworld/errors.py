@@ -15,3 +15,10 @@ class ParseError(DomainError):
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def read_only(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable value classes;
+    their ``__init__`` sets fields with ``object.__setattr__``."""
+    raise AttributeError(f"{type(self).__name__} is immutable: "
+                         f"cannot assign or delete {name!r}")

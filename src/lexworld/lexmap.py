@@ -18,13 +18,13 @@ exactly.  Failures raise InvariantError rather than returning a guess.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 from .central import (CentralCertificate, central_from_slope, closure_chain,
                       is_balanced, is_central, _central_periods)
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, read_only
 from .mechanical import characteristic_sturmian_prefix, is_sturmian_directive
 from .words import EQ, GT, LT, ONE, ZERO, Seq, check_word, expansion, numeral
 
@@ -58,12 +58,12 @@ KIND_CPB = "characteristic_periodic_balanced"
 KIND_GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str
-    p: int | None = None
-    q: int | None = None
-    variant: str | None = None  # "ends01" | "ends10"
+class Classification(namedtuple("Classification", "kind p q variant",
+                                  defaults=(None, None, None))):
+    """``kind``, and for characteristic periodic input its slope ``p/q`` and
+    ``variant`` ("ends01" | "ends10")."""
+
+    __slots__ = ()
 
 
 def classify(u: Seq) -> Classification:
@@ -90,22 +90,21 @@ def classify(u: Seq) -> Classification:
     return Classification(KIND_GENERIC)
 
 
-@dataclass(frozen=True)
-class PhiResult:
-    """phi value plus the evidence used to produce and verify it."""
+class PhiResult(namedtuple("PhiResult",
+                           "phi case central longest_central_prefix trace")):
+    """phi value plus the evidence used to produce and verify it: ``phi``
+    (a Seq), ``case``, the ``central`` certificate (or None), the
+    ``longest_central_prefix`` of u (or None) and the ``trace`` lines."""
 
-    phi: Seq
-    case: Case
-    central: CentralCertificate | None
-    longest_central_prefix: str | None
-    trace: tuple[str, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    passed: bool
-    checks: int
-    failures: tuple[str, ...] = ()
+class VerifyReport(namedtuple("VerifyReport", "passed checks failures",
+                              defaults=((),))):
+    """Whether every check ``passed``, how many ``checks`` ran, and the
+    ``failures`` found."""
+
+    __slots__ = ()
 
 
 def verify_phi(u: Seq, b: Seq) -> VerifyReport:
@@ -268,11 +267,12 @@ def phi(a: Seq) -> PhiResult:
 # -- finite-prefix decisions ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrefixDecision:
-    decided: bool
-    result: PhiResult | None = None
-    reason: str | None = None
+class PrefixDecision(namedtuple("PrefixDecision", "decided result reason",
+                                defaults=(None, None))):
+    """Whether the prefix ``decided`` phi, with the PhiResult ``result`` if
+    so or the ``reason`` if not."""
+
+    __slots__ = ()
 
 
 def phi_prefix(p_word: str) -> PrefixDecision:
@@ -360,17 +360,28 @@ def _prefix_case(p_word: str, w: str) -> tuple[Case, str]:
 # -- aperiodic characteristic bounds --------------------------------------
 
 
-@dataclass(frozen=True)
 class SturmianPhi:
     """Symbolic phi(0u) = 1u for u the closure limit of ``directive``.
 
     The value is aperiodic, so it is exposed as a prefix generator plus
     the continued fraction of the slope read off the directive's block
-    lengths.
+    lengths.  Instances are immutable.
     """
 
-    directive: Seq
-    case: Case = Case.III_STURMIAN
+    __slots__ = ("directive", "case")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, directive: Seq, case: Case = Case.III_STURMIAN):
+        object.__setattr__(self, "directive", directive)
+        object.__setattr__(self, "case", case)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.directive, self.case) == (other.directive, other.case)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.directive, self.case))
 
     @property
     def symbolic(self) -> str:
@@ -414,16 +425,14 @@ def phi_sturmian(delta: Seq) -> SturmianPhi:
 # -- the number-theoretic endpoint ----------------------------------------
 
 
-@dataclass(frozen=True)
-class FResult:
-    """Least right endpoint F(x) with its combinatorial evidence."""
+class FResult(namedtuple("FResult",
+                         "x F phi_expansion case verified cmp_x_plus_half")):
+    """Least right endpoint ``F`` = F(x) with its combinatorial evidence:
+    the sequence ``phi_expansion`` whose value it is, the ``case``, the
+    ``verified`` flag, and ``cmp_x_plus_half`` (LT or EQ against x + 1/2;
+    None at the boundaries)."""
 
-    x: Fraction
-    F: Fraction
-    phi_expansion: Seq
-    case: Case
-    verified: bool
-    cmp_x_plus_half: int | None  # LT / EQ against x + 1/2; None at boundaries
+    __slots__ = ()
 
 
 def F(x: Fraction) -> FResult:

@@ -49,9 +49,10 @@ def mech_periodic(p: int, q: int, rho: Fraction = Fraction(0),
     minimal one.
     """
     if q < 1 or not 0 <= p <= q:
-        raise DomainError(f"need 0 <= p <= q with q >= 1, got {p}/{q}")
+        raise DomainError(
+            f"need 0 <= p <= q with q >= 1, got {numeral(p)}/{numeral(q)}")
     if gcd(p, q) != 1:
-        raise DomainError(f"p={p} and q={q} are not coprime")
+        raise DomainError(f"p={numeral(p)} and q={numeral(q)} are not coprime")
     alpha = Fraction(p, q)
     digit = mech_upper if upper else mech_lower
     word = "".join(str(digit(alpha, Fraction(rho), n)) for n in range(q))

@@ -9,25 +9,28 @@ suite and by the CLI --check flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from .central import is_balanced
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, read_only
 from .words import Seq, expansion, numeral
 
 
-@dataclass(frozen=True)
 class SweepConfig:
-    max_period: int = 8
-    max_preperiod: int = 2
-    max_word_len: int = 14
+    """Bounds of the exhaustive searches; immutable, compared by identity."""
 
-    def __post_init__(self):
-        if self.max_period < 1 or self.max_period > 16:
+    __slots__ = ("max_period", "max_preperiod", "max_word_len")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, max_period: int = 8, max_preperiod: int = 2,
+                 max_word_len: int = 14):
+        if max_period < 1 or max_period > 16:
             raise DomainError("max_period must lie in 1..16 (exponential search)")
+        object.__setattr__(self, "max_period", max_period)
+        object.__setattr__(self, "max_preperiod", max_preperiod)
+        object.__setattr__(self, "max_word_len", max_word_len)
 
 
 def _necklace_candidates(max_period: int):

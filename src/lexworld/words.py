@@ -13,16 +13,17 @@ relied on throughout and makes ``1`` a legitimate endpoint value.
 
 from __future__ import annotations
 
-import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_only
 
 # Three-valued result of a lexicographic comparison.
 LT, EQ, GT = -1, 0, 1
+
+# Sets a field of an immutable value class from its __init__.
+_set = object.__setattr__
 
 
 # str.translate table deleting the two binary letters.
@@ -81,41 +82,60 @@ def primitive_root(w: str) -> str:
     return w[:(w + w).find(w, 1)]
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
 class Seq:
     """An eventually periodic binary sequence ``pre . per per per ...``
 
     Instances are canonical: the period word is primitive and the preperiod
     is as short as possible (its last letter differs from the period's last
     letter, so no rotation of the period can absorb it).  Equality of
-    canonical forms is digitwise equality.
+    canonical forms is digitwise equality.  Instances are immutable.
 
     Construction costs time linear in ``|pre| + |per|``, nearly all of it in
     C string methods; the preperiod loop below runs once per absorbed
     letter, plus one comparison.
     """
 
-    pre: str
-    per: str
+    __slots__ = ("pre", "per")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, pre: str, per: str):
+        _set(self, "pre", pre)
+        _set(self, "per", per)
+        self.__post_init__()
 
     def __post_init__(self):
-        check_word(self.pre)
-        check_word(self.per)
-        if not self.per:
+        pre, per = self.pre, self.per
+        check_word(pre)
+        check_word(per)
+        if not per:
             raise DomainError("period must be nonempty")
-        pre, per = self.pre, primitive_root(self.per)
-        # The preperiod's last j letters agree with per^oo read backwards
+        root = primitive_root(per)
+        # The preperiod's last j letters agree with root^oo read backwards
         # from the end of a period: absorb them by rotating right j places.
-        n, ell = len(pre), len(per)
+        n, ell = len(pre), len(root)
         j = 0
-        while j < n and pre[n - 1 - j] == per[ell - 1 - j % ell]:
+        while j < n and pre[n - 1 - j] == root[ell - 1 - j % ell]:
             j += 1
         if j:
             cut = ell - j % ell
-            pre, per = pre[:n - j], per[cut:] + per[:cut]
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "per", per)
+            _set(self, "pre", pre[:n - j])
+            root = root[cut:] + root[:cut]
+        if root is not per:
+            _set(self, "per", root)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pre == other.pre and self.per == other.per
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pre, self.per))
+
+    def __repr__(self) -> str:
+        return f"Seq(pre={self.pre!r}, per={self.per!r})"
+
+    def __reduce__(self):
+        return Seq, (self.pre, self.per)
 
     # -- digit access ---------------------------------------------------
 
@@ -172,19 +192,34 @@ class Seq:
     def compare(self, other: "Seq") -> int:
         """Lexicographic comparison; returns LT, EQ or GT.
 
-        Both sequences are purely periodic past the longer preperiod, with
-        common period lcm(|per|, |per'|), so scanning that many positions
-        decides the order; full agreement there means digitwise equality.
+        Past the longer preperiod h both sequences are periodic, with
+        periods p = |per| and p' = |per'|.  If they agree on the first
+        h + p + p' - gcd(p, p') digits, their tails share a factor of that
+        length with periods p and p', hence (Fine and Wilf) with period
+        gcd(p, p'), and both tails repeat its first gcd(p, p') letters:
+        full agreement there means digitwise equality.  The prefixes are
+        compared as strings, in C: first 64 digits, which settle most pairs
+        without writing out a long period, then all n.
         """
-        n = max(len(self.pre), len(other.pre)) + lcm(len(self.per), len(other.per))
-        for i in range(n):
-            a, b = self.digit(i), other.digit(i)
+        lp, lq = len(self.per), len(other.per)
+        n = max(len(self.pre), len(other.pre)) + lp + lq - gcd(lp, lq)
+        for m in (n,) if n <= 64 else (64, n):
+            a, b = self.prefix(m), other.prefix(m)
             if a != b:
                 return LT if a < b else GT
         return EQ
 
     def __lt__(self, other: "Seq") -> bool:
         return self.compare(other) == LT
+
+    def __le__(self, other: "Seq") -> bool:
+        return self.compare(other) != GT
+
+    def __gt__(self, other: "Seq") -> bool:
+        return self.compare(other) == GT
+
+    def __ge__(self, other: "Seq") -> bool:
+        return self.compare(other) != LT
 
     def value(self) -> Fraction:
         """The exact number in [0, 1] whose binary digits are this sequence."""
@@ -200,12 +235,15 @@ ZERO = Seq("", "0")
 ONE = Seq("", "1")
 
 
-def numeral(x: Fraction) -> str:
+def numeral(x: Fraction | int) -> str:
     """``str(x)``, or its sign and bit lengths past the int-string limit."""
     try:
         return str(x)
     except ValueError:
         x = Fraction(x)
+        if x.denominator == 1:
+            return (f"{'a negative' if x < 0 else 'an'} integer of "
+                    f"{x.numerator.bit_length()} binary digits")
         return (f"{'-' if x < 0 else ''}p/q with p of {x.numerator.bit_length()}"
                 f" and q of {x.denominator.bit_length()} binary digits")
 

@@ -1,17 +1,19 @@
 import random
 import time
+from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lexworld.central import (_central_periods, central_from_slope,
+from lexworld.central import (CentralCertificate, _central_periods,
+                              central_from_slope,
                               closure_chain, directive_of_central,
                               extremal_rotations, is_balanced, is_central,
                               pal, pal_extension, palindromic_closure,
                               standard_factorization)
-from lexworld.errors import DomainError
+from lexworld.errors import DomainError, InvariantError
 from lexworld.mechanical import mech_periodic
 
 
@@ -191,6 +193,28 @@ def test_is_central_empty_word():
     assert (cert.ell1, cert.ell2) == (1, 1)
 
 
+def test_certificate_rejects_inconsistent_fields():
+    good = ("010", 2, 5, 2, 3, "", "0", "01")
+    cert = CentralCertificate(*good)
+    assert cert == is_central("010") and hash(cert) == hash(is_central("010"))
+    for i, bad in [(1, 3), (3, 3), (4, 2), (5, "0"), (6, None), (7, "10")]:
+        fields = list(good)
+        fields[i] = bad
+        with pytest.raises(InvariantError):
+            CentralCertificate(*fields)
+    with pytest.raises(InvariantError):  # constant words carry no factors
+        CentralCertificate("00", 1, 4, 3, 1, "0", "", "00")
+
+
+def test_certificate_is_immutable():
+    cert = is_central("010")
+    with pytest.raises(AttributeError):
+        cert.word = "000"
+    with pytest.raises(AttributeError):
+        del cert.directive
+    assert not hasattr(cert, "__dict__")
+
+
 def test_certificate_period_congruence():
     # ell2 * p = 1 (mod q) for every certificate
     for w in central_words_upto(12):
@@ -249,6 +273,11 @@ def test_central_from_slope_rejects_bad_input():
         central_from_slope(5, 3)
     with pytest.raises(DomainError):
         central_from_slope(0, 3)
+    # integers past the interpreter's int-string limit
+    with pytest.raises(DomainError, match="binary digits"):
+        central_from_slope(2, 2 * 10 ** 5000)
+    with pytest.raises(DomainError, match="binary digits"):
+        central_from_slope(10 ** 5000, 3)
 
 
 def test_central_from_slope_fibonacci_within_time_bound():
@@ -330,6 +359,14 @@ def test_extremal_rotations_single_letter():
 def test_extremal_rotations_rejects_empty():
     with pytest.raises(DomainError):
         extremal_rotations("")
+
+
+def test_extremal_rotations_match_all_rotations_up_to_twelve():
+    for n in range(1, 13):
+        for bits in product("01", repeat=n):
+            w = "".join(bits)
+            rots = [w[i:] + w[:i] for i in range(n)]
+            assert extremal_rotations(w) == (min(rots), max(rots)), w
 
 
 def test_christoffel_words_are_extremal_up_to_twelve():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -218,6 +219,21 @@ def test_printed_sequences_reparse_to_same_object(capsys):
             key, _, val = line.partition(" = ")
             if val.startswith("(") or "(" in val and key in ("phi", "sequence"):
                 assert str(parse_seq(val)) == val
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Every CLI call pays for the import, and these two modules (with the
+    # ast, dis and tokenize modules that inspect pulls in) are slow to
+    # load.  -S keeps the interpreter's site hooks out of the checked set.
+    import lexworld
+    src = os.path.dirname(os.path.dirname(lexworld.__file__))
+    code = ("import sys, lexworld, lexworld.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point_runs():

@@ -121,6 +121,22 @@ def test_phi_wrapper_matches_random_one_heads():
         assert phi(Seq("1" + pre, per)).phi == ONE
 
 
+def test_results_are_immutable_values():
+    u = Seq("", "1100")
+    res, again = phi_zero_u(u), phi_zero_u(u)
+    assert res == again and hash(res) == hash(again)
+    assert F(Fraction(2, 5)) == F(Fraction(2, 5))
+    assert phi_sturmian(Seq("", "01")) == phi_sturmian(Seq("", "01"))
+    assert classify(u).kind == KIND_GENERIC and classify(u).p is None
+    for record, field in [(res, "phi"), (F(Fraction(2, 5)), "F"),
+                          (verify_phi(u, res.phi), "passed"),
+                          (phi_prefix("0"), "decided"),
+                          (phi_sturmian(Seq("", "01")), "case")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert not hasattr(record, "__dict__")
+
+
 # -- verification reports -------------------------------------------------------
 
 def test_verify_phi_passes_on_correct_answer():

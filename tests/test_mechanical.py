@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from lexworld.cf import cf_of_rational, directive_from_cf
+from lexworld.cf import ContinuedFraction, cf_of_rational, directive_from_cf
 from lexworld.central import central_from_slope, is_balanced, pal
 from lexworld.errors import DomainError
 from lexworld.mechanical import (characteristic_pair,
@@ -62,6 +62,11 @@ def test_mech_periodic_examples(p, q, rho, upper, expected):
 def test_mech_periodic_rejects_non_coprime():
     with pytest.raises(DomainError):
         mech_periodic(2, 4)
+    # integers past the interpreter's int-string limit
+    with pytest.raises(DomainError, match="binary digits"):
+        mech_periodic(2, 2 * 10 ** 5000)
+    with pytest.raises(DomainError, match="binary digits"):
+        mech_periodic(3, -10 ** 5000)
 
 
 def test_mech_periodic_general_intercept_stays_periodic():
@@ -91,6 +96,19 @@ def test_cf_alternate_form():
     assert other.alternate() == cf
 
 
+def test_cf_is_an_immutable_value():
+    cf, same = cf_of_rational(3, 8), ContinuedFraction((2, 1, 2))
+    assert cf == same and hash(cf) == hash(same)
+    assert cf != cf.alternate()
+    with pytest.raises(AttributeError):
+        cf.digits = (2,)
+    for digits in [(), (0, 2), (1,)]:
+        with pytest.raises(DomainError):
+            ContinuedFraction(digits)
+    with pytest.raises(DomainError, match="binary digits"):
+        cf_of_rational(2, 2 * 10 ** 5000)
+
+
 def test_cf_value_round_trip():
     for q in range(2, 40):
         for p in range(1, q):
@@ -106,7 +124,6 @@ def test_cf_value_round_trip():
     ((1, 1, 2), "10"),    # slope 3/5
 ])
 def test_directive_from_cf_examples(digits, expected):
-    from lexworld.cf import ContinuedFraction
     assert directive_from_cf(ContinuedFraction(digits)) == expected
 
 

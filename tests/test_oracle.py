@@ -17,6 +17,15 @@ Fr = Fraction
 def test_config_guards_exponential_search():
     with pytest.raises(DomainError):
         SweepConfig(max_period=17)
+    with pytest.raises(DomainError):
+        SweepConfig(0)
+
+
+def test_config_is_an_immutable_value():
+    cfg = SweepConfig(max_period=6)
+    assert (cfg.max_period, cfg.max_preperiod, cfg.max_word_len) == (6, 2, 14)
+    with pytest.raises(AttributeError):
+        cfg.max_period = 17
 
 
 def test_necklace_counts_match_lyndon_numbers():

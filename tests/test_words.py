@@ -1,11 +1,15 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lexworld.central import central_from_slope
 from lexworld.errors import DomainError, ParseError
 from lexworld.words import (EQ, EXPANSION_BUDGET, GT, LT, ONE, ZERO, Seq,
                             check_word, expansion, minimal_period, parse_seq,
@@ -38,6 +42,31 @@ def test_canonicalize_already_canonical():
 def test_period_must_be_nonempty():
     with pytest.raises(DomainError):
         Seq("0", "")
+
+
+def test_seq_is_immutable_and_slotted():
+    s = Seq("0", "1010")
+    for name in ("pre", "per", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, "1")
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert not hasattr(s, "__dict__")
+    assert (s.pre, s.per) == ("", "01")
+
+
+def test_equal_seqs_hash_equal():
+    s, t = Seq("0", "1010"), Seq("010", "10")
+    assert s == t and hash(s) == hash(t)
+    assert len({s, t, Seq("", "0101")}) == 1
+    assert s != Seq("", "10") and s != ("", "01")
+
+
+def test_seq_copies_and_pickles_to_equal_objects():
+    s = Seq("1", "010")
+    assert copy.copy(s) == s == copy.deepcopy(s)
+    assert pickle.loads(pickle.dumps(s)) == s
+    assert repr(s) == "Seq(pre='1', per='010')"
 
 
 def reference_canonical(pre, per):
@@ -98,6 +127,57 @@ def test_compare_characteristic_pair_slope_two_fifths():
 
 def test_compare_mixed_preperiod():
     assert Seq("00", "1").compare(Seq("", "010")) == LT
+
+
+def lcm_loop_compare(s, t):
+    """Digit by digit up to the lcm bound: the original ``Seq.compare``,
+    kept as the reference."""
+    n = max(len(s.pre), len(t.pre)) + lcm(len(s.per), len(t.per))
+    for i in range(n):
+        a, b = s.digit(i), t.digit(i)
+        if a != b:
+            return LT if a < b else GT
+    return EQ
+
+
+def test_compare_matches_lcm_loop_exhaustive():
+    pres = ["".join(bits) for n in range(3) for bits in product("01", repeat=n)]
+    pers = ["".join(bits) for n in range(1, 5) for bits in product("01", repeat=n)]
+    small = [Seq(pre, per) for pre in pres for per in pers]
+    for s in small:
+        for t in small:
+            assert s.compare(t) == lcm_loop_compare(s, t), (s, t)
+
+
+def test_compare_matches_lcm_loop_seeded_long_coprime_periods():
+    # t copies the first k digits of s and then repeats a period whose
+    # length is coprime to s's, so the first mismatch can sit anywhere up
+    # to the Fine-Wilf bound.
+    rng = random.Random(3560)
+    for _ in range(400):
+        p = rng.randrange(1, 120)
+        p2 = rng.randrange(1, 120)
+        while gcd(p, p2) != 1:
+            p2 += 1
+        word = lambda n: "".join(rng.choice("01") for _ in range(n))
+        s = Seq(word(rng.randrange(6)), word(p))
+        k = rng.randrange(p + p2 + 6)
+        t = Seq(s.prefix(k), s.prefix(k + p2)[k:] if rng.random() < 0.5
+                else word(p2))
+        assert s.compare(t) == lcm_loop_compare(s, t), (s, t)
+        assert t.compare(s) == -lcm_loop_compare(s, t), (s, t)
+
+
+def test_compare_fine_wilf_bound_is_tight():
+    # The two periodic words read off a central word w of slope p/q agree
+    # on |w| = ell1 + ell2 - 2 digits and differ right after: the last
+    # position the bound ell1 + ell2 - gcd(ell1, ell2) covers.
+    for p, q in [(2, 5), (5, 13), (89, 233), (101, 257)]:
+        cert = central_from_slope(p, q)
+        s, t = Seq("", cert.word[:cert.ell1]), Seq("", cert.word[:cert.ell2])
+        assert s.prefix(q - 2) == t.prefix(q - 2) == cert.word
+        assert s.digit(q - 2) != t.digit(q - 2)
+        assert s.compare(t) == lcm_loop_compare(s, t) != EQ
 
 
 @given(seqs, seqs)

@@ -20,9 +20,20 @@ from .lexmap import (Case, Classification, F, FResult, PhiResult,
 from .mechanical import (characteristic_pair, characteristic_periodic_via_pal,
                          characteristic_sturmian_prefix, mech_lower,
                          mech_periodic, mech_upper)
-from .oracle import (SweepConfig, brute_F, brute_phi, enumerate_central,
-                     naive_balance, sandwich_census)
 from .words import (EQ, GT, LT, ONE, ZERO, Seq, check_word, expansion,
                     minimal_period, parse_rational, parse_seq)
 
 __version__ = "0.1.0"
+
+# The brute-force oracle serves tests and the CLI's --check; it is imported
+# on first use of one of its names, not on every start.
+_ORACLE_NAMES = frozenset({"SweepConfig", "brute_F", "brute_phi",
+                           "enumerate_central", "naive_balance",
+                           "sandwich_census"})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,7 @@ import argparse
 import re
 import sys
 
-from . import lexmap, mechanical, oracle
+from . import lexmap, mechanical
 from .central import (central_from_slope, is_central, pal,
                       palindromic_closure)
 from .errors import DomainError
@@ -77,6 +77,7 @@ def _phi_lines(res, check: int | None, u: Seq | None) -> tuple[list, int]:
     ]
     code = EXIT_OK
     if check is not None and u is not None:
+        from . import oracle  # only --check and the oracle command use it
         agreed = oracle.brute_phi(u, oracle.SweepConfig(max_period=check)) == res.phi
         lines.append(("oracle_agrees", agreed))
         if not agreed:
@@ -202,6 +203,7 @@ def _dispatch(args) -> int:
             lines.append(("failure", report.failures[0]))
         _emit(lines, as_json)
     elif cmd == "oracle":
+        from . import oracle
         cfg = oracle.SweepConfig(max_period=args.max_period)
         _emit([("phi", oracle.brute_phi(parse_seq(args.seq), cfg))], as_json)
     return EXIT_OK
@@ -239,6 +241,7 @@ def _run_f(args, as_json: bool) -> int:
             ("cmp_x_plus_half", "lt" if res.cmp_x_plus_half == -1 else "eq"),
         ]
         if args.check is not None:
+            from . import oracle
             cfg = oracle.SweepConfig(max_period=args.check)
             agreed = oracle.brute_F(x, cfg) == res.F
             lines.append(("oracle_agrees", agreed))

@@ -365,13 +365,17 @@ class SturmianPhi:
 
     The value is aperiodic, so it is exposed as a prefix generator plus
     the continued fraction of the slope read off the directive's block
-    lengths.  Instances are immutable.
+    lengths.  An eventually constant directive, whose limit is periodic, is
+    refused with DomainError.  Instances are immutable.
     """
 
     __slots__ = ("directive", "case")
     __setattr__ = __delattr__ = read_only
 
     def __init__(self, directive: Seq, case: Case = Case.III_STURMIAN):
+        if not is_sturmian_directive(directive):
+            raise DomainError("directive is eventually constant; the limit is "
+                              "periodic and handled by the slope-based path")
         object.__setattr__(self, "directive", directive)
         object.__setattr__(self, "case", case)
 
@@ -416,9 +420,6 @@ class SturmianPhi:
 
 def phi_sturmian(delta: Seq) -> SturmianPhi:
     """phi(0u) for the aperiodic characteristic u directed by ``delta``."""
-    if not is_sturmian_directive(delta):
-        raise DomainError("directive is eventually constant; the limit is "
-                          "periodic and handled by the slope-based path")
     return SturmianPhi(delta)
 
 

@@ -148,6 +148,8 @@ class Seq:
 
     def prefix(self, n: int) -> str:
         """The first ``n`` digits as a word."""
+        if n < 0:
+            raise DomainError("prefix length must be nonnegative")
         if n <= len(self.pre):
             return self.pre[:n]
         reps = (n - len(self.pre)) // len(self.per) + 1
@@ -256,15 +258,34 @@ EXPANSION_BUDGET = 1 << 22
 
 def _order_of_two(m: int, limit: int) -> int | None:
     """The least ``ell >= 1`` with ``2**ell % m == 1``, for odd ``m >= 3``;
-    None if it exceeds ``limit``."""
-    r = 2
-    for ell in range(1, limit + 1):
-        if r == 1:
-            return ell
-        r += r
-        if r >= m:
-            r -= m
-    return None
+    None if it exceeds ``limit``.
+
+    Baby-step giant-step (Shanks) in rounds of doubling step size s.
+    Round s keeps a table mapping 2**j % m to j for 0 <= j < s, and takes
+    the giant steps 2**(i*s) for i = 1..s.  The earlier rounds ruled out
+    every order up to (s/2)**2 >= s - 1, so the order is at least s and
+    the table's values are distinct.  The first giant step found in the
+    table, at j, then gives the order i*s - j: a smaller i would give a
+    positive i*s - j below the order.  Round s finds every order up to
+    s*s, so the cost is O(sqrt(ell)) multiplications, and a refusal keeps
+    fewer than 2 * sqrt(limit) table entries.
+    """
+    table: dict[int, int] = {}
+    r, s = 1, 1  # r == 2**len(table) % m
+    while True:
+        for j in range(len(table), s):
+            table[r] = j
+            r = 2 * r % m
+        g = y = r  # 2**s % m
+        for i in range(1, s + 1):
+            j = table.get(y)
+            if j is not None:
+                ell = i * s - j
+                return ell if ell <= limit else None
+            y = y * g % m
+        if s * s >= limit:
+            return None
+        s *= 2
 
 
 def expansion(x: Fraction, greater: bool = False) -> Seq:
@@ -279,8 +300,9 @@ def expansion(x: Fraction, greater: bool = False) -> Seq:
     odd, the preperiod is the k-digit numeral of ``a // m`` and the period
     the L-digit numeral of ``(a % m) * (2**L - 1) // m``, where L is the
     order of 2 modulo m (``m`` divides ``2**L - 1``).  These are exactly
-    the minimal preperiod and period.  The cost is linear in ``k + L``:
-    one doubling step per period digit to find L, and two divisions.  An
+    the minimal preperiod and period.  Finding L takes O(sqrt(L)) modular
+    multiplications; writing the ``k + L`` digits takes two divisions and
+    two conversions to binary, linear in ``k + L``.  An
     ``x`` whose expansion needs more than ``EXPANSION_BUDGET`` digits is
     refused with DomainError.
     """

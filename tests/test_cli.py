@@ -224,11 +224,12 @@ def test_printed_sequences_reparse_to_same_object(capsys):
 def test_import_loads_neither_dataclasses_nor_inspect():
     # Every CLI call pays for the import, and these two modules (with the
     # ast, dis and tokenize modules that inspect pulls in) are slow to
-    # load.  -S keeps the interpreter's site hooks out of the checked set.
+    # load; the oracle serves only --check and the oracle command.  -S
+    # keeps the interpreter's site hooks out of the checked set.
     import lexworld
     src = os.path.dirname(os.path.dirname(lexworld.__file__))
-    code = ("import sys, lexworld, lexworld.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import sys, lexworld, lexworld.cli; print(sorted("
+            "{'dataclasses', 'inspect', 'lexworld.oracle'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
@@ -238,7 +239,9 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 def test_module_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "lexworld", "F", "1/3"],
+        [sys.executable, "-m", "lexworld", "F", "1/3", "--check", "8"],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "F = 2/3" in proc.stdout
+    # --check imports the oracle, which the start-up path leaves out
+    assert "oracle_agrees = true" in proc.stdout

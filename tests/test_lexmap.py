@@ -8,9 +8,9 @@ import pytest
 
 from lexworld.central import palindromic_closure
 from lexworld.errors import DomainError
-from lexworld.lexmap import (Case, F, classify, lex_world_member, phi,
-                             phi_prefix, phi_sturmian, phi_zero_u,
-                             sigma_member, verify_phi, KIND_ALL_ONE,
+from lexworld.lexmap import (Case, F, SturmianPhi, classify,
+                             lex_world_member, phi, phi_prefix, phi_sturmian,
+                             phi_zero_u, sigma_member, verify_phi, KIND_ALL_ONE,
                              KIND_ALL_ZERO, KIND_CPB, KIND_GENERIC,
                              _longest_central_prefix)
 from lexworld.mechanical import mech_periodic
@@ -251,6 +251,13 @@ def test_phi_sturmian_rejects_eventually_constant():
         phi_sturmian(Seq("", "1"))
     with pytest.raises(DomainError):
         phi_sturmian(Seq("10", "0"))
+    # Built directly, these used to be accepted, and slope_cf looped forever
+    # waiting for the next block of the other letter.
+    for directive, count in ((Seq("", "0"), 2), (Seq("01", "1"), 3)):
+        with pytest.raises(DomainError):
+            SturmianPhi(directive).slope_cf(count)
+        with pytest.raises(DomainError):
+            phi_sturmian(directive)
 
 
 # -- the endpoint function F ------------------------------------------------------

@@ -14,6 +14,16 @@ from lexworld.words import Seq, ZERO
 Fr = Fraction
 
 
+def test_package_resolves_oracle_names_on_first_use():
+    import lexworld
+    from lexworld import oracle
+    for name in ("SweepConfig", "brute_F", "brute_phi", "enumerate_central",
+                 "naive_balance", "sandwich_census"):
+        assert getattr(lexworld, name) is getattr(oracle, name)
+    with pytest.raises(AttributeError):
+        lexworld.no_such_name
+
+
 def test_config_guards_exponential_search():
     with pytest.raises(DomainError):
         SweepConfig(max_period=17)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from lexworld.central import central_from_slope
 from lexworld.errors import DomainError, ParseError
 from lexworld.words import (EQ, EXPANSION_BUDGET, GT, LT, ONE, ZERO, Seq,
-                            check_word, expansion, minimal_period, parse_seq,
-                            parse_rational, primitive_root)
+                            _order_of_two, check_word, expansion,
+                            minimal_period, parse_seq, parse_rational,
+                            primitive_root)
 
 words = st.text(alphabet="01", max_size=6)
 periods = st.text(alphabet="01", min_size=1, max_size=6)
@@ -113,6 +115,15 @@ def test_shift_by_full_period_is_identity():
 @given(seqs, st.integers(0, 50), st.integers(0, 50))
 def test_shift_composition(s, j, k):
     assert s.shift(j + k) == s.shift(j).shift(k)
+
+
+def test_prefix_rejects_negative_length():
+    s = Seq("001", "1")
+    assert s.prefix(0) == ""
+    with pytest.raises(DomainError):
+        s.prefix(-1)
+    with pytest.raises(DomainError):
+        s.digit(-1)
 
 
 # -- lexicographic order --------------------------------------------------
@@ -339,10 +350,66 @@ def test_expansion_matches_reference_seeded_large_periods():
 
 def test_expansion_refuses_past_the_digit_budget():
     assert EXPANSION_BUDGET >= 1 << 22
+    # The order of 2 is sought in O(sqrt(budget)) steps: about 2 ms here,
+    # against about 0.5 s for one doubling step per digit.
+    start = time.perf_counter()
     with pytest.raises(DomainError, match="digits"):
         expansion(Fraction(354224848179261915075, 927372692193078999176))
+    assert time.perf_counter() - start < 0.25
     with pytest.raises(DomainError, match="digits"):
         expansion(Fraction(1, 1 << (EXPANSION_BUDGET + 1)))
+
+
+def doubling_order_of_two(m, limit):
+    """The order of 2 modulo odd m >= 3, one doubling step per candidate,
+    or None past ``limit``: the library's original loop, kept as the
+    reference."""
+    r = 2
+    for ell in range(1, limit + 1):
+        if r == 1:
+            return ell
+        r += r
+        if r >= m:
+            r -= m
+    return None
+
+
+def test_order_of_two_matches_doubling_loop_below_5000():
+    for m in range(3, 5000, 2):
+        ell = doubling_order_of_two(m, m)  # the order is below m
+        for limit in (ell - 1, ell, ell + 1):
+            assert _order_of_two(m, limit) == doubling_order_of_two(m, limit), \
+                (m, limit)
+
+
+def prime_factors(n):
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def test_order_of_two_seeded_up_to_1e9():
+    # m is drawn log-uniformly, so every round size of the search is hit.
+    # Orders near 10^9 are out of the doubling loop's reach (about 0.15 us
+    # a step), so each order is certified instead: 2^ell = 1 (mod m) and
+    # 2^(ell/p) != 1 for each prime p dividing ell, which leaves no proper
+    # divisor of ell as the order.  Orders up to 10^5 also meet the loop.
+    rng = random.Random(20095)
+    for _ in range(300):
+        m = round(10 ** rng.uniform(0.5, 9)) | 1
+        ell = _order_of_two(m, m)
+        assert pow(2, ell, m) == 1, m
+        assert all(pow(2, ell // p, m) != 1 for p in prime_factors(ell)), m
+        assert _order_of_two(m, ell - 1) is None, m
+        assert _order_of_two(m, ell) == _order_of_two(m, ell + 1) == ell, m
+        if ell <= 10 ** 5:
+            assert doubling_order_of_two(m, ell + 1) == ell, m
 
 
 @given(seqs)

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 from math import gcd
 
 from .cf import cf_of_rational, directive_from_cf
-from .errors import DomainError, InvariantError, read_only
+from .errors import DomainError, InvariantError, Value
 from .words import check_word, is_period, minimal_period, numeral
 
 
@@ -116,7 +116,7 @@ def _central_periods(w: str) -> tuple[int, int] | None:
     return (ell, m)
 
 
-class CentralCertificate:
+class CentralCertificate(Value):
     """A central word with its slope, period pair, factorisation, directive.
 
     ``word`` is the central word of slope p/q, so len(word) = q - 2 with
@@ -129,7 +129,6 @@ class CentralCertificate:
     """
 
     __slots__ = ("word", "p", "q", "ell1", "ell2", "w1", "w2", "directive")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, word: str, p: int, q: int, ell1: int, ell2: int,
                  w1: str | None, w2: str | None, directive: str):
@@ -163,24 +162,21 @@ class CentralCertificate:
                                (word, p, q, ell1, ell2, w1, w2, directive)):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return (self.word, self.p, self.q, self.ell1, self.ell2, self.w1,
-                self.w2, self.directive)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
 
 def is_central(w: str) -> CentralCertificate | None:
-    """Full certificate if ``w`` is central, else None; the directive is
-    read off the closure chain walked along ``w``."""
+    """Full certificate if ``w`` is central, else None.
+
+    A word's central prefixes form one closure chain, so ``w`` is central
+    exactly when the chain walked along it reaches its end; the walk's
+    letters are the directive.  The certificate checks the period pair,
+    the minimal period and the factorisation.
+    """
     check_word(w)
-    if _central_periods(w) is None:
+    n, directive = 0, []
+    for piece, x in closure_chain(prefixes_of=w):
+        n += len(piece)
+        directive.append(x)
+    if n != len(w):
         return None
     q = len(w) + 2
     p = w.count("1") + 1
@@ -188,16 +184,8 @@ def is_central(w: str) -> CentralCertificate | None:
     ell1, ell2 = q - m, m
     if "0" in w and "1" in w:
         w1, w2 = w[:ell1 - 2], w[ell1:]
-        if w[ell1 - 2:ell1] != "01" or w2 + "10" + w1 != w:
-            raise InvariantError(f"period orientation broke down on {w!r}")
     else:
         w1 = w2 = None
-    n, directive = 0, []
-    for piece, x in closure_chain(prefixes_of=w):
-        n += len(piece)
-        directive.append(x)
-    if n != len(w):
-        raise InvariantError(f"the closure chain of central {w!r} stops early")
     return CentralCertificate(w, p, q, ell1, ell2, w1, w2, "".join(directive))
 
 

@@ -12,15 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, read_only
+from .errors import DomainError, Value
 from .words import numeral
 
 
-class ContinuedFraction:
+class ContinuedFraction(Value):
     """Partial quotients after the integer part 0; all entries >= 1."""
 
     __slots__ = ("digits",)
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, digits: tuple[int, ...]):
         if not digits or any(a < 1 for a in digits):
@@ -28,14 +27,6 @@ class ContinuedFraction:
         if digits == (1,):
             raise DomainError("[0; 1] = 1 is not in (0, 1)")
         object.__setattr__(self, "digits", digits)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.digits == other.digits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.digits)
 
     @classmethod
     def from_rational(cls, p: int, q: int) -> "ContinuedFraction":

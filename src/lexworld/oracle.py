@@ -14,15 +14,14 @@ from functools import lru_cache
 from itertools import product
 
 from .central import is_balanced
-from .errors import DomainError, InvariantError, read_only
+from .errors import DomainError, InvariantError, Value
 from .words import Seq, expansion, numeral
 
 
-class SweepConfig:
-    """Bounds of the exhaustive searches; immutable, compared by identity."""
+class SweepConfig(Value):
+    """Bounds of the exhaustive searches; an immutable value."""
 
     __slots__ = ("max_period", "max_preperiod", "max_word_len")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, max_period: int = 8, max_preperiod: int = 2,
                  max_word_len: int = 14):

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, ParseError, read_only
+from .errors import DomainError, ParseError, Value
 
 # Three-valued result of a lexicographic comparison.
 LT, EQ, GT = -1, 0, 1
@@ -82,7 +82,7 @@ def primitive_root(w: str) -> str:
     return w[:(w + w).find(w, 1)]
 
 
-class Seq:
+class Seq(Value):
     """An eventually periodic binary sequence ``pre . per per per ...``
 
     Instances are canonical: the period word is primitive and the preperiod
@@ -96,7 +96,6 @@ class Seq:
     """
 
     __slots__ = ("pre", "per")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, pre: str, per: str):
         _set(self, "pre", pre)
@@ -122,20 +121,6 @@ class Seq:
             root = root[cut:] + root[:cut]
         if root is not per:
             _set(self, "per", root)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pre == other.pre and self.per == other.per
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.pre, self.per))
-
-    def __repr__(self) -> str:
-        return f"Seq(pre={self.pre!r}, per={self.per!r})"
-
-    def __reduce__(self):
-        return Seq, (self.pre, self.per)
 
     # -- digit access ---------------------------------------------------
 
@@ -176,14 +161,8 @@ class Seq:
 
     def shifts(self) -> list["Seq"]:
         """All distinct shifted sequences, in order of first appearance."""
-        out: list[Seq] = []
-        seen: set[Seq] = set()
-        for k in range(len(self.pre) + len(self.per)):
-            s = self.shift(k)
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
-        return out
+        return list(dict.fromkeys(self.shift(k) for k in
+                                  range(len(self.pre) + len(self.per))))
 
     @property
     def purely_periodic(self) -> bool:

@@ -14,7 +14,7 @@ from lexworld.lexmap import (Case, F, SturmianPhi, classify,
                              KIND_ALL_ZERO, KIND_CPB, KIND_GENERIC,
                              _longest_central_prefix)
 from lexworld.mechanical import mech_periodic
-from lexworld.words import LT, EQ, ONE, ZERO, Seq
+from lexworld.words import LT, EQ, ONE, ZERO, Seq, expansion
 
 Fr = Fraction
 
@@ -324,6 +324,21 @@ def test_f_long_period_within_time_bound():
     assert res.phi_expansion == Seq("", "1" + "0" * 18)
     assert res.F == Fraction(2 ** 18, 2 ** 19 - 1)
     assert res.verified
+
+
+def test_f_above_half_is_one_without_expanding_x():
+    # Above 1/2 the expansion of x begins with 1, so phi of it is 1^oo, the
+    # greatest sequence; F answers 1 without expanding x.
+    xs = {Fr(a, b) for b in range(1, 200) for a in range(b // 2 + 1, b + 1)}
+    for x in xs:
+        res = F(x)
+        assert (res.F, res.case) == (1, Case.BOUNDARY_X_GT_HALF), x
+        assert phi(expansion(x)).phi == ONE, x
+    past_budget = 1 - Fr(354224848179261915075, 927372692193078999176)
+    with pytest.raises(DomainError, match="digits"):
+        expansion(past_budget)
+    res = F(past_budget)
+    assert (res.F, res.case) == (1, Case.BOUNDARY_X_GT_HALF)
 
 
 def test_f_verified_flag_always_true():

@@ -36,6 +36,8 @@ def test_config_is_an_immutable_value():
     assert (cfg.max_period, cfg.max_preperiod, cfg.max_word_len) == (6, 2, 14)
     with pytest.raises(AttributeError):
         cfg.max_period = 17
+    assert SweepConfig(6) == cfg and hash(SweepConfig(6)) == hash(cfg)
+    assert cfg != SweepConfig(7)
 
 
 def test_necklace_counts_match_lyndon_numbers():

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lexworld.central import central_from_slope
-from lexworld.errors import DomainError, ParseError
+from lexworld.central import central_from_slope, is_central
+from lexworld.cf import ContinuedFraction
+from lexworld.errors import DomainError, InvariantError, ParseError
+from lexworld.lexmap import phi_prefix, phi_sturmian, phi_zero_u
+from lexworld.oracle import SweepConfig
 from lexworld.words import (EQ, EXPANSION_BUDGET, GT, LT, ONE, ZERO, Seq,
                             _order_of_two, check_word, expansion,
                             minimal_period, parse_seq, parse_rational,
@@ -39,6 +42,7 @@ def test_canonicalize_primitivity():
 def test_canonicalize_already_canonical():
     s = Seq("01", "0010")
     assert (s.pre, s.per) == ("01", "0010")
+    assert repr(s) == "Seq(pre='01', per='0010')"
 
 
 def test_period_must_be_nonempty():
@@ -64,11 +68,39 @@ def test_equal_seqs_hash_equal():
     assert s != Seq("", "10") and s != ("", "01")
 
 
-def test_seq_copies_and_pickles_to_equal_objects():
-    s = Seq("1", "010")
-    assert copy.copy(s) == s == copy.deepcopy(s)
-    assert pickle.loads(pickle.dumps(s)) == s
-    assert repr(s) == "Seq(pre='1', per='010')"
+# One instance of each value class, with a field value its __init__ refuses.
+VALUES = [
+    (Seq("1", "010"), "per", ""),
+    (is_central("010"), "p", 3),
+    (ContinuedFraction((2, 1, 2)), "digits", (0, 2)),
+    (phi_sturmian(Seq("", "01")), "directive", Seq("", "0")),
+    (SweepConfig(6), "max_period", 17),
+]
+VALUE_IDS = [type(obj).__name__ for obj, _, _ in VALUES]
+# Result records that carry a central certificate.
+RECORDS = [phi_zero_u(Seq("", "1100")), phi_prefix("010010011")]
+
+
+@pytest.mark.parametrize("obj", [obj for obj, _, _ in VALUES] + RECORDS,
+                         ids=VALUE_IDS + ["PhiResult", "PrefixDecision"])
+def test_value_copies_and_pickles_to_equal_objects(obj):
+    for twin in (copy.copy(obj), copy.deepcopy(obj),
+                 pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and twin == obj
+    fields = getattr(obj, "_fields", None) or type(obj).__slots__
+    text = repr(obj)
+    assert text.startswith(type(obj).__name__ + "(")
+    assert all(f"{name}=" in text for name in fields)
+
+
+@pytest.mark.parametrize("obj,field,bad", VALUES, ids=VALUE_IDS)
+def test_value_reduce_rebuilds_through_init(obj, field, bad):
+    names = type(obj).__slots__
+    values = tuple(getattr(obj, name) for name in names)
+    assert obj.__reduce__() == (type(obj), values)
+    changed = tuple(bad if name == field else v for name, v in zip(names, values))
+    with pytest.raises((InvariantError, DomainError)):
+        type(obj)(*changed)
 
 
 def reference_canonical(pre, per):

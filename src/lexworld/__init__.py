@@ -7,33 +7,41 @@ it: balanced and central words, palindromic closure, mechanical sequences,
 and the least-upper-bound map phi on the lexicographic world.
 """
 
-from .cf import ContinuedFraction, cf_of_rational, directive_from_cf
-from .central import (CentralCertificate, central_from_slope, closure_chain,
-                      directive_of_central, extremal_rotations, is_balanced,
-                      is_central, pal, pal_extension, palindromic_closure,
-                      standard_factorization)
-from .errors import DomainError, InvariantError, ParseError
-from .lexmap import (Case, Classification, F, FResult, PhiResult,
-                     PrefixDecision, SturmianPhi, VerifyReport, classify,
-                     lex_world_member, phi, phi_prefix, phi_sturmian,
-                     phi_zero_u, sigma_member, verify_phi)
-from .mechanical import (characteristic_pair, characteristic_periodic_via_pal,
-                         characteristic_sturmian_prefix, mech_lower,
-                         mech_periodic, mech_upper)
-from .words import (EQ, GT, LT, ONE, ZERO, Seq, check_word, expansion,
-                    minimal_period, parse_rational, parse_seq)
-
 __version__ = "0.1.0"
 
-# The brute-force oracle serves tests and the CLI's --check; it is imported
-# on first use of one of its names, not on every start.
-_ORACLE_NAMES = frozenset({"SweepConfig", "brute_F", "brute_phi",
-                           "enumerate_central", "naive_balance",
-                           "sandwich_census"})
+# Every public name, by the module that defines it.  A name (or a module
+# named here) is imported on first use and the name is then kept in the
+# package namespace, so `import lexworld`, and with it every
+# `python -m lexworld` start, loads only the modules the caller uses.
+_EXPORTS = {
+    "cf": "ContinuedFraction cf_of_rational directive_from_cf",
+    "central": "CentralCertificate central_from_slope closure_chain "
+               "directive_of_central extremal_rotations is_balanced "
+               "is_central pal pal_extension palindromic_closure "
+               "standard_factorization",
+    "errors": "DomainError InvariantError ParseError",
+    "lexmap": "Case Classification F FResult PhiResult PrefixDecision "
+              "SturmianPhi VerifyReport classify lex_world_member phi "
+              "phi_prefix phi_sturmian phi_zero_u sigma_member verify_phi",
+    "mechanical": "characteristic_pair characteristic_periodic_via_pal "
+                  "characteristic_sturmian_prefix mech_lower mech_periodic "
+                  "mech_upper",
+    "oracle": "SweepConfig brute_F brute_phi enumerate_central "
+              "naive_balance sandwich_census",
+    "words": "EQ GT LT ONE ZERO Seq check_word expansion minimal_period "
+             "parse_rational parse_seq",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -9,31 +9,14 @@ phi-prefix query that the given prefix does not decide.
 
 from __future__ import annotations
 
-import argparse
-import re
 import sys
 
-from . import lexmap, mechanical
-from .central import (central_from_slope, is_central, pal,
-                      palindromic_closure)
 from .errors import DomainError
-from .words import Seq, parse_rational, parse_seq
+from .words import parse_rational, parse_seq
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # No option starts with '-' and a digit, so such an argument is a
-        # value ("F -1/3" or "--rho -1/3") that the library judges, not an
-        # unknown option.
-        self._negative_number_matcher = re.compile(r"-[0-9]")
-
-    def error(self, message):  # keep exit codes under our control
-        raise DomainError(message)
 
 
 def _fmt(value) -> str:
@@ -55,6 +38,17 @@ def _emit(lines: list[tuple[str, object]], as_json: bool) -> None:
             print(f"{key} = {_fmt(val)}")
 
 
+def _exit_code(lines: list[tuple[str, object]]) -> int:
+    """1 when the oracle disagreed with an answer, 2 when phi-prefix could
+    not decide, 0 otherwise."""
+    facts = dict(lines)
+    if facts.get("oracle_agrees") is False:
+        return EXIT_ERROR
+    if facts.get("decided") is False:
+        return EXIT_UNDECIDED
+    return EXIT_OK
+
+
 def _cert_lines(cert, factors: bool = False) -> list[tuple[str, object]]:
     lines: list[tuple[str, object]] = [
         ("p", cert.p),
@@ -68,187 +62,301 @@ def _cert_lines(cert, factors: bool = False) -> list[tuple[str, object]]:
     return lines
 
 
-def _phi_lines(res, check: int | None, u: Seq | None) -> tuple[list, int]:
+# -- handlers: each imports the modules it runs and returns the facts -------
+
+def _pal(word):
+    from .central import pal
+    return [("pal", pal(word))]
+
+
+def _closure(word):
+    from .central import palindromic_closure
+    return [("closure", palindromic_closure(word))]
+
+
+def _central_check(word):
+    from .central import is_central
+    cert = is_central(word)
+    lines: list[tuple[str, object]] = [("central", cert is not None)]
+    if cert is not None:
+        lines += _cert_lines(cert, factors=True)
+    return lines
+
+
+def _central_make(slope):
+    from .central import central_from_slope
+    x = parse_rational(slope)
+    cert = central_from_slope(x.numerator, x.denominator)
+    return [("w", cert.word)] + _cert_lines(cert)
+
+
+def _mech(alpha, rho, upper, n):
+    from . import mechanical
+    alpha, rho = parse_rational(alpha), parse_rational(rho)
+    if n < 0:
+        raise DomainError("-n must be nonnegative")
+    digit = mechanical.mech_upper if upper else mechanical.mech_lower
+    digits = "".join(str(digit(alpha, rho, k)) for k in range(n))
+    seq = mechanical.mech_periodic(alpha.numerator, alpha.denominator, rho, upper)
+    return [("digits", digits), ("sequence", seq)]
+
+
+def _sturmian_prefix(directive, n):
+    from .mechanical import characteristic_sturmian_prefix
+    return [("prefix", characteristic_sturmian_prefix(parse_seq(directive), n))]
+
+
+def _classify(seq):
+    from . import lexmap
+    cls = lexmap.classify(parse_seq(seq))
+    lines = [("class", cls.kind)]
+    if cls.kind == lexmap.KIND_CPB:
+        lines += [("p", cls.p), ("q", cls.q), ("variant", cls.variant)]
+    return lines
+
+
+def _phi(seq, check, directive, n):
+    from . import lexmap
+    if (seq is None) == (directive is None):
+        raise DomainError("phi takes either a sequence or --directive")
+    if directive is not None:
+        sym = lexmap.phi_sturmian(parse_seq(directive))
+        cf = sym.slope_cf(8)
+        return [
+            ("symbolic", sym.symbolic),
+            ("case", sym.case.value),
+            ("prefix", sym.phi_value_prefix(n)),
+            ("slope_cf", "[0;" + ",".join(map(str, cf)) + ",...]"),
+        ]
+    u = parse_seq(seq)
+    res = lexmap.phi_zero_u(u)
     lines = [
         ("phi", res.phi),
         ("case", res.case.value),
         ("central", res.central.word if res.central else None),
         ("verified", True),
     ]
-    code = EXIT_OK
-    if check is not None and u is not None:
+    if check is not None:
         from . import oracle  # only --check and the oracle command use it
-        agreed = oracle.brute_phi(u, oracle.SweepConfig(max_period=check)) == res.phi
-        lines.append(("oracle_agrees", agreed))
-        if not agreed:
-            code = EXIT_ERROR
-    return lines, code
+        cfg = oracle.SweepConfig(max_period=check)
+        lines.append(("oracle_agrees", oracle.brute_phi(u, cfg) == res.phi))
+    return lines
 
 
-def run(argv: list[str]) -> int:
-    parser = _Parser(prog="lexworld", description=__doc__)
-    parser.add_argument("--emit", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("pal", help="iterated palindromic closure of a word")
-    sp.add_argument("word")
-
-    sp = sub.add_parser("closure", help="palindromic closure of a word")
-    sp.add_argument("word")
-
-    sp = sub.add_parser("central-check", help="recognise a central word")
-    sp.add_argument("word")
-
-    sp = sub.add_parser("central-make", help="central word of a slope p/q")
-    sp.add_argument("slope")
-
-    sp = sub.add_parser("mech", help="digits of a mechanical sequence")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--rho", default="0")
-    sp.add_argument("--upper", action="store_true")
-    sp.add_argument("-n", type=int, required=True)
-
-    sp = sub.add_parser("sturmian-prefix",
-                        help="prefix of the closure limit of a directive")
-    sp.add_argument("--directive", required=True)
-    sp.add_argument("-n", type=int, required=True)
-
-    sp = sub.add_parser("classify", help="classify an eventually periodic sequence")
-    sp.add_argument("seq")
-
-    sp = sub.add_parser("phi", help="least upper sequence for the bound 0.U")
-    sp.add_argument("seq", nargs="?")
-    sp.add_argument("--check", type=int, metavar="Q")
-    sp.add_argument("--directive", help="aperiodic characteristic input (symbolic)")
-    sp.add_argument("-n", type=int, default=32, help="prefix length for symbolic output")
-
-    sp = sub.add_parser("phi-prefix", help="decide phi from a finite prefix of U")
-    sp.add_argument("word")
-
-    sp = sub.add_parser("F", help="least right endpoint trapping {ksi 2^n}")
-    sp.add_argument("x")
-    sp.add_argument("--check", type=int, metavar="Q")
-
-    sp = sub.add_parser("verify", help="check the shift inequalities for (U, B)")
-    sp.add_argument("seq")
-    sp.add_argument("bound")
-
-    sp = sub.add_parser("oracle", help="brute-force reference computations")
-    osub = sp.add_subparsers(dest="oracle_command", required=True)
-    op = osub.add_parser("phi")
-    op.add_argument("seq")
-    op.add_argument("--max-period", type=int, default=8)
-
-    try:
-        args = parser.parse_args(argv)
-        return _dispatch(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def _phi_prefix(word):
+    from .lexmap import phi_prefix
+    decision = phi_prefix(word)
+    if not decision.decided:
+        return [("decided", False), ("reason", decision.reason)]
+    res = decision.result
+    return [("decided", True), ("phi", res.phi), ("case", res.case.value),
+            ("central", res.central.word if res.central else None)]
 
 
-def _dispatch(args) -> int:
-    as_json = args.emit == "json"
-    cmd = args.command
-
-    if cmd == "pal":
-        _emit([("pal", pal(args.word))], as_json)
-    elif cmd == "closure":
-        _emit([("closure", palindromic_closure(args.word))], as_json)
-    elif cmd == "central-check":
-        cert = is_central(args.word)
-        lines: list[tuple[str, object]] = [("central", cert is not None)]
-        if cert is not None:
-            lines += _cert_lines(cert, factors=True)
-        _emit(lines, as_json)
-    elif cmd == "central-make":
-        x = parse_rational(args.slope)
-        cert = central_from_slope(x.numerator, x.denominator)
-        _emit([("w", cert.word)] + _cert_lines(cert), as_json)
-    elif cmd == "mech":
-        alpha, rho = parse_rational(args.alpha), parse_rational(args.rho)
-        if args.n < 0:
-            raise DomainError("-n must be nonnegative")
-        digit = mechanical.mech_upper if args.upper else mechanical.mech_lower
-        digits = "".join(str(digit(alpha, rho, n)) for n in range(args.n))
-        seq = mechanical.mech_periodic(alpha.numerator, alpha.denominator,
-                                       rho, args.upper)
-        _emit([("digits", digits), ("sequence", seq)], as_json)
-    elif cmd == "sturmian-prefix":
-        delta = parse_seq(args.directive)
-        prefix = mechanical.characteristic_sturmian_prefix(delta, args.n)
-        _emit([("prefix", prefix)], as_json)
-    elif cmd == "classify":
-        cls = lexmap.classify(parse_seq(args.seq))
-        lines = [("class", cls.kind)]
-        if cls.kind == lexmap.KIND_CPB:
-            lines += [("p", cls.p), ("q", cls.q), ("variant", cls.variant)]
-        _emit(lines, as_json)
-    elif cmd == "phi":
-        return _run_phi(args, as_json)
-    elif cmd == "phi-prefix":
-        decision = lexmap.phi_prefix(args.word)
-        if not decision.decided:
-            _emit([("decided", False), ("reason", decision.reason)], as_json)
-            return EXIT_UNDECIDED
-        res = decision.result
-        _emit([("decided", True), ("phi", res.phi), ("case", res.case.value),
-               ("central", res.central.word if res.central else None)], as_json)
-    elif cmd == "F":
-        return _run_f(args, as_json)
-    elif cmd == "verify":
-        report = lexmap.verify_phi(parse_seq(args.seq), parse_seq(args.bound))
-        lines = [("verified", report.passed)]
-        if not report.passed:
-            lines.append(("failure", report.failures[0]))
-        _emit(lines, as_json)
-    elif cmd == "oracle":
-        from . import oracle
-        cfg = oracle.SweepConfig(max_period=args.max_period)
-        _emit([("phi", oracle.brute_phi(parse_seq(args.seq), cfg))], as_json)
-    return EXIT_OK
-
-
-def _run_phi(args, as_json: bool) -> int:
-    if (args.seq is None) == (args.directive is None):
-        raise DomainError("phi takes either a sequence or --directive")
-    if args.directive is not None:
-        sym = lexmap.phi_sturmian(parse_seq(args.directive))
-        cf = sym.slope_cf(8)
-        _emit([
-            ("symbolic", sym.symbolic),
-            ("case", sym.case.value),
-            ("prefix", sym.phi_value_prefix(args.n)),
-            ("slope_cf", "[0;" + ",".join(map(str, cf)) + ",...]"),
-        ], as_json)
-        return EXIT_OK
-    u = parse_seq(args.seq)
-    res = lexmap.phi_zero_u(u)
-    lines, code = _phi_lines(res, args.check, u)
-    _emit(lines, as_json)
-    return code
-
-
-def _run_f(args, as_json: bool) -> int:
-    x = parse_rational(args.x)
-    res = lexmap.F(x)
+def _f(x, check):
+    from .lexmap import F, Case
+    x = parse_rational(x)
+    res = F(x)
     lines: list[tuple[str, object]] = [("F", res.F), ("case", res.case.value)]
-    code = EXIT_OK
-    if res.case not in (lexmap.Case.BOUNDARY_X_GT_HALF, lexmap.Case.BOUNDARY_X_ZERO):
+    if res.case not in (Case.BOUNDARY_X_GT_HALF, Case.BOUNDARY_X_ZERO):
         lines += [
             ("phi", res.phi_expansion),
             ("verified", res.verified),
             ("cmp_x_plus_half", "lt" if res.cmp_x_plus_half == -1 else "eq"),
         ]
-        if args.check is not None:
-            from . import oracle
-            cfg = oracle.SweepConfig(max_period=args.check)
-            agreed = oracle.brute_F(x, cfg) == res.F
-            lines.append(("oracle_agrees", agreed))
-            if not agreed:
-                code = EXIT_ERROR
+    if check is not None:
+        from . import oracle
+        cfg = oracle.SweepConfig(max_period=check)
+        lines.append(("oracle_agrees", oracle.brute_F(x, cfg) == res.F))
+    return lines
+
+
+def _verify(seq, bound):
+    from .lexmap import verify_phi
+    report = verify_phi(parse_seq(seq), parse_seq(bound))
+    lines = [("verified", report.passed)]
+    if not report.passed:
+        lines.append(("failure", report.failures[0]))
+    return lines
+
+
+def _oracle_phi(seq, max_period):
+    from . import oracle
+    cfg = oracle.SweepConfig(max_period=max_period)
+    return [("phi", oracle.brute_phi(parse_seq(seq), cfg))]
+
+
+# -- the command table ------------------------------------------------------
+
+# Each command: (one-line help, positional names, options, handler).  A
+# positional name ending in "?" may be left out and is then None.  Each
+# option maps its spelling to (kind, default, required); the kind is int,
+# str, or bool for a flag that takes no value.  The handler takes the
+# positionals and options as keyword arguments, an option named by its
+# spelling without dashes ("--max-period" is max_period), and returns the
+# facts to print.
+COMMANDS = {
+    "pal": ("iterated palindromic closure of a word", ("word",), {}, _pal),
+    "closure": ("palindromic closure of a word", ("word",), {}, _closure),
+    "central-check": ("recognise a central word", ("word",), {},
+                      _central_check),
+    "central-make": ("central word of a slope p/q", ("slope",), {},
+                     _central_make),
+    "mech": ("digits of a mechanical sequence", (), {
+        "--alpha": (str, None, True), "--rho": (str, "0", False),
+        "--upper": (bool, False, False), "-n": (int, None, True)}, _mech),
+    "sturmian-prefix": ("prefix of the closure limit of a directive", (), {
+        "--directive": (str, None, True), "-n": (int, None, True)},
+        _sturmian_prefix),
+    "classify": ("classify an eventually periodic sequence", ("seq",), {},
+                 _classify),
+    "phi": ("least upper sequence for the bound 0.U", ("seq?",), {
+        "--check": (int, None, False), "--directive": (str, None, False),
+        "-n": (int, 32, False)}, _phi),
+    "phi-prefix": ("decide phi from a finite prefix of U", ("word",), {},
+                   _phi_prefix),
+    "F": ("least right endpoint trapping {ksi 2^n}", ("x",),
+          {"--check": (int, None, False)}, _f),
+    "verify": ("check the shift inequalities for (U, B)", ("seq", "bound"),
+               {}, _verify),
+    "oracle phi": ("brute-force phi by exhaustive search", ("seq",),
+                   {"--max-period": (int, 8, False)}, _oracle_phi),
+}
+HELP = ("-h", "--help")
+# The one option that comes before the command.
+EMIT = {"--emit": (str, "text", False)}
+
+
+def _dest(option: str) -> str:
+    return option.lstrip("-").replace("-", "_")
+
+
+def _is_option(token: str) -> bool:
+    """True for ``-x`` and ``--name``.  No option starts with "-" and a
+    digit, so such a token is a value ("F -1/3" or "--rho -1/3") that the
+    library judges, and so is a lone "-"."""
+    return len(token) > 1 and token[0] == "-" and token[1] not in "0123456789"
+
+
+def _read_option(token: str, options: dict, rest: list[str], args: dict,
+                 where: str) -> None:
+    """Read the option ``NAME``, ``NAME VALUE`` or ``NAME=VALUE`` that
+    starts at token into args, taking a separate VALUE from rest."""
+    option, eq, value = token.partition("=")
+    if option not in options:
+        raise DomainError(f"{where} has no option {option}")
+    kind = options[option][0]
+    if kind is bool:
+        if eq:
+            raise DomainError(f"{option} takes no value")
+        value = True
+    elif not eq:
+        if not rest or _is_option(rest[0]):
+            raise DomainError(f"{option} expects a value")
+        value = rest.pop(0)
+    if kind is int:
+        try:
+            value = int(value)
+        except ValueError:
+            raise DomainError(f"{option} takes an integer, not {value!r}") from None
+    args[_dest(option)] = value
+
+
+def parse(argv: list[str]) -> dict:
+    """Read a command line against the command table.
+
+    Returns the values by name, with "emit" and "command", or
+    ``{"help": command}`` (command None before one is named) when -h or
+    --help asks for help.  Any other input raises DomainError.
+    """
+    rest = list(argv)
+    args: dict = {"emit": "text"}
+    while rest and _is_option(rest[0]):
+        token = rest.pop(0)
+        if token in HELP:
+            return {"help": None}
+        _read_option(token, EMIT, rest, args, "lexworld (before the command)")
+    if args["emit"] not in ("text", "json"):
+        raise DomainError(f"--emit takes text or json, not {args['emit']!r}")
+    if not rest:
+        raise DomainError("no command given; lexworld -h lists them")
+    name = rest.pop(0)
+    if rest and any(c.startswith(name + " ") for c in COMMANDS):  # oracle phi
+        if rest[0] in HELP:
+            return {"help": None}
+        name += " " + rest.pop(0)
+    if name not in COMMANDS:
+        raise DomainError(f"unknown command {name!r}; lexworld -h lists them")
+    args["command"] = name
+    _, positionals, options, _ = COMMANDS[name]
+    values = []
+    while rest:
+        token = rest.pop(0)
+        if token in HELP:
+            return {"help": name}
+        if _is_option(token):
+            _read_option(token, options, rest, args, name)
+        else:
+            values.append(token)
+
+    required = [p for p in positionals if not p.endswith("?")]
+    if not len(required) <= len(values) <= len(positionals):
+        raise DomainError(f"usage: lexworld {_usage(name)}")
+    for k, p in enumerate(positionals):
+        args[p.rstrip("?")] = values[k] if k < len(values) else None
+    for option, (_, default, needed) in options.items():
+        if _dest(option) not in args:
+            if needed:
+                raise DomainError(f"{name} needs {option}")
+            args[_dest(option)] = default
+    return args
+
+
+def _spelling(option: str, kind: type) -> str:
+    return option if kind is bool else f"{option} {_dest(option).upper()}"
+
+
+def _usage(name: str) -> str:
+    _, positionals, options, _ = COMMANDS[name]
+    parts = [name] + [f"[{p[:-1].upper()}]" if p.endswith("?") else p.upper()
+                      for p in positionals]
+    for option, (kind, _, needed) in options.items():
+        part = _spelling(option, kind)
+        parts.append(part if needed else f"[{part}]")
+    return " ".join(parts)
+
+
+def _help(name: str | None) -> str:
+    if name is None:
+        lines = ["usage: lexworld [-h] [--emit text|json] COMMAND ...", "",
+                 __doc__.partition("\n\n")[2].strip(), "", "commands:"]
+        for command, (text, *_) in COMMANDS.items():
+            lines += [f"  {_usage(command)}", f"      {text}"]
+        return "\n".join(lines)
+    text, _, options, _ = COMMANDS[name]
+    lines = [f"usage: lexworld [--emit text|json] {_usage(name)}", "", text]
+    if options:
+        lines += ["", "options:"]
+    for option, (kind, default, needed) in options.items():
+        note = ("required" if needed else "" if default is None or kind is bool
+                else f"default {default}")
+        lines.append(f"  {_spelling(option, kind):<26} {note}".rstrip())
+    return "\n".join(lines)
+
+
+def run(argv: list[str]) -> int:
+    try:
+        args = parse(argv)
+        if "help" in args:
+            print(_help(args["help"]))
+            return EXIT_OK
+        as_json = args.pop("emit") == "json"
+        lines = COMMANDS[args.pop("command")][3](**args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     _emit(lines, as_json)
-    return code
+    return _exit_code(lines)
 
 
 def main() -> None:

@@ -21,15 +21,12 @@ from .words import Seq, expansion, numeral
 class SweepConfig(Value):
     """Bounds of the exhaustive searches; an immutable value."""
 
-    __slots__ = ("max_period", "max_preperiod", "max_word_len")
+    __slots__ = ("max_period",)
 
-    def __init__(self, max_period: int = 8, max_preperiod: int = 2,
-                 max_word_len: int = 14):
+    def __init__(self, max_period: int = 8):
         if max_period < 1 or max_period > 16:
             raise DomainError("max_period must lie in 1..16 (exponential search)")
         object.__setattr__(self, "max_period", max_period)
-        object.__setattr__(self, "max_preperiod", max_preperiod)
-        object.__setattr__(self, "max_word_len", max_word_len)
 
 
 def _necklace_candidates(max_period: int):

@@ -1,12 +1,16 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
+from lexworld import cli
 from lexworld.cli import run
+from lexworld.errors import DomainError
 
 
 def invoke(capsys, *argv):
@@ -109,8 +113,10 @@ def test_phi_oracle_check_agrees(capsys):
     assert out.endswith("oracle_agrees = true\n")
 
 
-def test_f_oracle_check_agrees(capsys):
-    code, out, _ = invoke(capsys, "F", "2/5", "--check", "8")
+@pytest.mark.parametrize("x", ["2/5", "2/3", "1", "0"])
+def test_f_oracle_check_agrees(capsys, x):
+    # the oracle also checks the boundary answers F = 1 and F = 0
+    code, out, _ = invoke(capsys, "F", x, "--check", "8")
     assert code == 0
     assert out.endswith("oracle_agrees = true\n")
 
@@ -189,6 +195,12 @@ def test_domain_error_exit_code(capsys):
     code, _, err = invoke(capsys, "F", "5/4")
     assert code == 1
     assert "error:" in err
+    # F answers an x above 1/2 without expanding it, but the oracle behind
+    # --check expands x and refuses it past the digit budget
+    code, out, err = invoke(capsys, "F", "573147844013817084101/927372692193078999176",
+                            "--check", "8")
+    assert (code, out) == (1, "")
+    assert "digits" in err
 
 
 def test_json_emission(capsys):
@@ -221,20 +233,197 @@ def test_printed_sequences_reparse_to_same_object(capsys):
                 assert str(parse_seq(val)) == val
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # Every CLI call pays for the import, and these two modules (with the
-    # ast, dis and tokenize modules that inspect pulls in) are slow to
-    # load; the oracle serves only --check and the oracle command.  -S
-    # keeps the interpreter's site hooks out of the checked set.
+# -- the parser against the argparse construction it replaced ---------------
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[0-9]")
+
+    def error(self, message):
+        raise DomainError(message)
+
+
+def reference_parse(argv):
+    """The argparse parser that the command table replaced, as a drop-in
+    for ``cli.parse``: its namespace as a dict, "oracle phi" one command."""
+    parser = _ReferenceParser(prog="lexworld")
+    parser.add_argument("--emit", choices=("text", "json"), default="text")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, arg in (("pal", "word"), ("closure", "word"),
+                      ("central-check", "word"), ("central-make", "slope"),
+                      ("classify", "seq"), ("phi-prefix", "word")):
+        sub.add_parser(name).add_argument(arg)
+    sp = sub.add_parser("mech")
+    sp.add_argument("--alpha", required=True)
+    sp.add_argument("--rho", default="0")
+    sp.add_argument("--upper", action="store_true")
+    sp.add_argument("-n", type=int, required=True)
+    sp = sub.add_parser("sturmian-prefix")
+    sp.add_argument("--directive", required=True)
+    sp.add_argument("-n", type=int, required=True)
+    sp = sub.add_parser("phi")
+    sp.add_argument("seq", nargs="?")
+    sp.add_argument("--check", type=int)
+    sp.add_argument("--directive")
+    sp.add_argument("-n", type=int, default=32)
+    sp = sub.add_parser("F")
+    sp.add_argument("x")
+    sp.add_argument("--check", type=int)
+    sp = sub.add_parser("verify")
+    sp.add_argument("seq")
+    sp.add_argument("bound")
+    osub = sub.add_parser("oracle").add_subparsers(dest="oracle_command",
+                                                   required=True)
+    op = osub.add_parser("phi")
+    op.add_argument("seq")
+    op.add_argument("--max-period", type=int, default=8)
+    args = vars(parser.parse_args(argv))
+    if "oracle_command" in args:
+        args["command"] += " " + args.pop("oracle_command")
+    return args
+
+
+def _spellings(head, positionals, options):
+    """The argv with its options after and before the positionals, each
+    written NAME VALUE and NAME=VALUE; a flag's value is None."""
+    spaced = [t for name, value in options
+              for t in ((name,) if value is None else (name, value))]
+    joined = [name if value is None else f"{name}={value}"
+              for name, value in options]
+    argvs = [head + positionals + spaced, head + spaced + positionals,
+             head + positionals + joined, head + joined + positionals]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
+
+
+BUDGET_X = "354224848179261915075/927372692193078999176"
+VALID = [argv for case in [
+    # the README examples
+    (["pal"], ["011"], []),
+    (["closure"], ["011"], []),
+    (["central-check"], ["010010"], []),
+    (["central-make"], ["2/5"], []),
+    (["mech"], [], [("--alpha", "2/5"), ("--rho", "0"), ("-n", "10")]),
+    (["sturmian-prefix"], [], [("--directive", "(01)"), ("-n", "28")]),
+    (["classify"], ["(01001)"], []),
+    (["phi"], ["(1100)"], [("--check", "8")]),
+    (["phi"], [], [("--directive", "(01)")]),
+    (["phi-prefix"], ["010010011"], []),
+    (["F"], ["2/5"], [("--check", "10")]),
+    (["verify"], ["(1100)", "(110)"], []),
+    (["oracle", "phi"], ["(1100)"], [("--max-period", "6")]),
+    # the shapes of the benchmark's CLI calls, refusals included
+    (["F"], ["4/11"], []),
+    (["--emit", "json", "F"], ["4/11"], []),
+    (["--emit=json", "phi"], ["0(1101)"], [("--check", "8")]),
+    (["phi"], ["01(10100)"], []),
+    (["phi"], [], [("--directive", "1(0110)"), ("-n", "30")]),
+    (["phi-prefix"], ["0100100"], []),
+    (["phi-prefix"], [""], []),
+    (["central-make"], ["5/13"], []),
+    (["classify"], ["0(10100)"], []),
+    (["verify"], ["0(1101)", "(10)"], []),
+    (["mech"], [], [("--alpha", "3/7"), ("-n", "30")]),
+    (["mech"], [], [("--alpha", "2/5"), ("--rho", "2/5"), ("--upper", None),
+                    ("-n", "5")]),
+    (["sturmian-prefix"], [], [("--directive", "0(01)"), ("-n", "100")]),
+    (["pal"], ["01001"], []),
+    (["F"], ["3/2"], []),
+    (["phi"], ["01(10"], []),
+    (["phi"], ["0(1)1"], []),
+    (["F"], ["1_000/3001"], []),
+    (["F"], ["\u0661/\u0663"], []),
+    (["F"], [" 1/3 "], []),
+    (["F"], [BUDGET_X], []),
+    # negative values, and values int() reads
+    (["F"], ["-1/3"], []),
+    (["F"], ["1/3"], [("--check", "-3")]),
+    (["mech"], [], [("--alpha", "2/5"), ("--rho", "-1/3"), ("-n", "6")]),
+    (["mech"], [], [("--alpha", "-2/5"), ("-n", "-1")]),
+    (["sturmian-prefix"], [], [("--directive", "(01)"), ("-n", "+7")]),
+] for argv in _spellings(*case)]
+
+MALFORMED = [
+    [], ["--emit", "json"], ["frob"], ["pal"], ["pal", "011", "10"],
+    ["verify", "(1100)"], ["phi", "(01)", "(10)"], ["F", "1/3", "--frob", "1"],
+    ["--frob", "F", "1/3"], ["F", "1/3", "--check"], ["--emit"],
+    ["mech", "--alpha", "2/5", "-n", "x"], ["mech", "--alpha", "2/5", "-n"],
+    ["--emit", "xml", "F", "1/3"], ["F", "1/3", "--emit", "json"],
+    ["oracle", "foo", "(01)"], ["oracle"], ["oracle", "phi"],
+    ["mech", "-n", "4"], ["mech", "--alpha", "2/5"],
+    ["mech", "--alpha", "2/5", "-n", "4", "--upper=yes"],
+    ["sturmian-prefix", "-n", "4"],
+]
+
+# Spellings that argparse accepted and the table's parser refuses: long
+# option abbreviations, an option's value attached to its short name, and
+# "--" before the positionals.
+REFUSED_NOW = [
+    ["phi", "--dir", "(01)"], ["--em", "json", "F", "1/3"],
+    ["mech", "--alpha", "2/5", "--up", "-n", "3"],
+    ["mech", "--alpha", "2/5", "-n5"], ["F", "--", "1/3"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID, ids=map(repr, VALID))
+def test_parser_matches_argparse_on_valid_input(capsys, monkeypatch, argv):
+    assert cli.parse(argv) == reference_parse(argv)
+    ours = invoke(capsys, *argv)
+    monkeypatch.setattr(cli, "parse", reference_parse)
+    assert invoke(capsys, *argv) == ours
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=map(repr, MALFORMED))
+def test_parser_refuses_what_argparse_refused(capsys, monkeypatch, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    monkeypatch.setattr(cli, "parse", reference_parse)
+    assert invoke(capsys, *argv)[:2] == (1, "")
+
+
+@pytest.mark.parametrize("argv", REFUSED_NOW, ids=map(repr, REFUSED_NOW))
+def test_argparse_spellings_now_refused(capsys, argv):
+    reference_parse(argv)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+def test_help_names_every_command(capsys):
+    for argv in (["-h"], ["--help"], ["--emit", "json", "-h"], ["oracle", "-h"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert all(f"  {name}" in out for name in cli.COMMANDS)
+
+
+def test_command_help_lists_its_options(capsys):
+    code, out, err = invoke(capsys, "mech", "-h")
+    assert (code, err) == (0, "")
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("  ")]
+    assert listed == ["--alpha", "--rho", "--upper", "-n"]
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["F", "1/3"], ()),
+    (["pal", "011"], ("lexworld.lexmap", "lexworld.mechanical")),
+    (["mech", "--alpha", "2/5", "-n", "4"], ("lexworld.lexmap",)),
+], ids=["F", "pal", "mech"])
+def test_import_loads_neither_dataclasses_nor_inspect(argv, unused):
+    # Every CLI call pays for the import, and these modules (with the ast,
+    # dis and tokenize modules that inspect pulls in) are slow to load; the
+    # oracle serves only --check and the oracle command, and each command
+    # imports only the lexworld modules it runs.  -S keeps the
+    # interpreter's site hooks out of the checked set.
     import lexworld
     src = os.path.dirname(os.path.dirname(lexworld.__file__))
-    code = ("import sys, lexworld, lexworld.cli; print(sorted("
-            "{'dataclasses', 'inspect', 'lexworld.oracle'} & set(sys.modules)))")
+    banned = {"argparse", "dataclasses", "inspect", "lexworld.oracle", *unused}
+    code = (f"import sys, lexworld.cli; lexworld.cli.run({argv!r}); "
+            f"print(sorted({banned!r} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_module_entry_point_runs():

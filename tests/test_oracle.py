@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,14 +17,51 @@ from lexworld.words import Seq, ZERO
 Fr = Fraction
 
 
+PUBLIC = {
+    "cf": "ContinuedFraction cf_of_rational directive_from_cf",
+    "central": "CentralCertificate central_from_slope closure_chain "
+               "directive_of_central extremal_rotations is_balanced is_central "
+               "pal pal_extension palindromic_closure standard_factorization",
+    "errors": "DomainError InvariantError ParseError",
+    "lexmap": "Case Classification F FResult PhiResult PrefixDecision "
+              "SturmianPhi VerifyReport classify lex_world_member phi "
+              "phi_prefix phi_sturmian phi_zero_u sigma_member verify_phi",
+    "mechanical": "characteristic_pair characteristic_periodic_via_pal "
+                  "characteristic_sturmian_prefix mech_lower mech_periodic "
+                  "mech_upper",
+    "oracle": "SweepConfig brute_F brute_phi enumerate_central naive_balance "
+              "sandwich_census",
+    "words": "EQ GT LT ONE ZERO Seq check_word expansion minimal_period "
+             "parse_rational parse_seq",
+}
+
+
 def test_package_resolves_oracle_names_on_first_use():
+    # the package imports each public name, and each submodule, on first
+    # use, and then keeps the name in its own namespace
+    import importlib
     import lexworld
-    from lexworld import oracle
-    for name in ("SweepConfig", "brute_F", "brute_phi", "enumerate_central",
-                 "naive_balance", "sandwich_census"):
-        assert getattr(lexworld, name) is getattr(oracle, name)
+    assert sorted(lexworld.__all__) == sorted(
+        name for names in PUBLIC.values() for name in names.split())
+    for module, names in PUBLIC.items():
+        mod = importlib.import_module(f"lexworld.{module}")
+        assert getattr(lexworld, module) is mod
+        for name in names.split():
+            assert getattr(lexworld, name) is getattr(mod, name)
+            assert vars(lexworld)[name] is getattr(mod, name)
     with pytest.raises(AttributeError):
         lexworld.no_such_name
+    # from a fresh `import lexworld`, which loads no submodule
+    src = os.path.dirname(os.path.dirname(lexworld.__file__))
+    modules = list(PUBLIC)
+    code = ("import sys, lexworld; "
+            f"print([m for m in {modules!r} if 'lexworld.' + m in sys.modules], "
+            "all(getattr(lexworld, m) is sys.modules['lexworld.' + m] "
+            f"for m in {modules!r}))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "[] True\n", proc.stderr
 
 
 def test_config_guards_exponential_search():
@@ -33,7 +73,7 @@ def test_config_guards_exponential_search():
 
 def test_config_is_an_immutable_value():
     cfg = SweepConfig(max_period=6)
-    assert (cfg.max_period, cfg.max_preperiod, cfg.max_word_len) == (6, 2, 14)
+    assert cfg.max_period == 6
     with pytest.raises(AttributeError):
         cfg.max_period = 17
     assert SweepConfig(6) == cfg and hash(SweepConfig(6)) == hash(cfg)

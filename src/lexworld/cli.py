@@ -95,10 +95,8 @@ def _mech(alpha, rho, upper, n):
     alpha, rho = parse_rational(alpha), parse_rational(rho)
     if n < 0:
         raise DomainError("-n must be nonnegative")
-    digit = mechanical.mech_upper if upper else mechanical.mech_lower
-    digits = "".join(str(digit(alpha, rho, k)) for k in range(n))
     seq = mechanical.mech_periodic(alpha.numerator, alpha.denominator, rho, upper)
-    return [("digits", digits), ("sequence", seq)]
+    return [("digits", seq.prefix(n)), ("sequence", seq)]
 
 
 def _sturmian_prefix(directive, n):
@@ -255,10 +253,13 @@ def _read_option(token: str, options: dict, rest: list[str], args: dict,
             raise DomainError(f"{option} expects a value")
         value = rest.pop(0)
     if kind is int:
+        if not (value.isascii() and value.removeprefix("-").isdigit()):
+            raise DomainError(f"{option} takes an integer -?[0-9]+, "
+                              f"not {value!r}")
         try:
             value = int(value)
-        except ValueError:
-            raise DomainError(f"{option} takes an integer, not {value!r}") from None
+        except ValueError as exc:  # past the interpreter's int-string limit
+            raise DomainError(f"{option} is too long: {exc}") from None
     args[_dest(option)] = value
 
 

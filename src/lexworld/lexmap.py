@@ -142,16 +142,8 @@ def lex_world_member(x: Seq, y: Seq) -> bool:
     return y >= phi(x).phi
 
 
-def _must_verify(u: Seq, b: Seq, trace: list[str]) -> None:
-    report = verify_phi(u, b)
-    if not report.passed:
-        raise InvariantError(
-            f"phi(0.{u}) = {b} failed verification: {report.failures[0]}")
-    trace.append(f"verified {report.checks} shift and balance checks")
-
-
-def _longest_central_prefix(u: Seq, trace: list[str]) -> tuple[str, str]:
-    """The longest central prefix of ``u`` and its directive word.
+def _longest_central_prefix(u: Seq, trace: list[str]) -> str:
+    """The longest central prefix of ``u``.
 
     Central prefixes form a single closure chain, each step extending the
     directive by the letter of ``u`` right after the previous prefix, so
@@ -164,11 +156,9 @@ def _longest_central_prefix(u: Seq, trace: list[str]) -> tuple[str, str]:
     cap = 64 * (len(u.pre) + len(u.per)) + 64
     n = 64
     while True:
-        window, end, dirv = u.prefix(n), 0, []
-        for piece, c in closure_chain(prefixes_of=window):
-            end += len(piece)
-            dirv.append(c)
-        v = window[:end]
+        window = u.prefix(n)
+        v = window[:sum(len(piece) for piece, _ in
+                        closure_chain(prefixes_of=window))]
         if len(v) > cap:
             raise InvariantError(
                 f"central prefixes of {u} exceed the safety cap {cap}; "
@@ -176,8 +166,43 @@ def _longest_central_prefix(u: Seq, trace: list[str]) -> tuple[str, str]:
         if 2 * len(v) < n:
             trace.append(f"longest central prefix {v!r} "
                          f"(extension by {u.digit(len(v))!r} fails)")
-            return v, "".join(dirv)
+            return v
         n *= 2
+
+
+def _case(v: str, w: str, cert_v: CentralCertificate | None = None) -> Case:
+    """The case answering (1w0)^oo from the longest central prefix v: i for
+    v in 1*, ii for v in 0*, else v_a, v_b or v_c for w = v, w2 or w1,
+    where v = w1 01 w2 = w2 10 w1 (``cert_v``, if known, certifies v)."""
+    if len(set(v)) == 1:
+        return Case.I if v[0] == "1" else Case.II
+    cert_v = cert_v or is_central(v)
+    case = {v: Case.V_A, cert_v.w2: Case.V_B, cert_v.w1: Case.V_C}.get(w)
+    if case is None:
+        raise InvariantError(f"{w!r} is none of v, w2, w1 for {v!r}")
+    return case
+
+
+def _answer(u: Seq, case: Case, cert: CentralCertificate | None,
+            v: str | None, trace: list[str]) -> PhiResult:
+    """phi(0u) = (1w0)^oo, w = ``cert.word``, once the sandwich (w01)^oo <
+    u < (w10)^oo (closed in case iv, where u is an end) and ``verify_phi``
+    hold.  A constant u, given no certificate, answers itself."""
+    b = u
+    if cert is not None:
+        w = cert.word
+        b = Seq("", "1" + w + "0")
+        lo, hi = Seq("", w + "01"), Seq("", w + "10")
+        if not (lo <= u <= hi if case is Case.IV else lo < u < hi):
+            raise InvariantError(
+                f"u = {u} escapes the sandwich around {w!r} in case {case}")
+        trace.append(f"sandwich around central word {w!r} confirmed")
+    report = verify_phi(u, b)
+    if not report.passed:
+        raise InvariantError(
+            f"phi(0.{u}) = {b} failed verification: {report.failures[0]}")
+    trace.append(f"verified {report.checks} shift and balance checks")
+    return PhiResult(b, case, cert, v, tuple(trace))
 
 
 def phi_zero_u(u: Seq) -> PhiResult:
@@ -197,34 +222,25 @@ def phi_zero_u(u: Seq) -> PhiResult:
 
     if cls.kind in (KIND_ALL_ZERO, KIND_ALL_ONE):
         trace.append(f"constant input: phi(0.{u}) = {u}")
-        _must_verify(u, u, trace)
-        return PhiResult(u, Case.II, None, None, tuple(trace))
+        return _answer(u, Case.II, None, None, trace)
 
     if cls.kind == KIND_CPB:
         cert = central_from_slope(cls.p, cls.q)
-        b = Seq("", "1" + cert.word + "0")
         trace.append(
             f"characteristic periodic input of slope {cls.p}/{cls.q} "
             f"({cls.variant}); phi = (1{cert.word}0)^oo")
-        lo, hi = Seq("", cert.word + "01"), Seq("", cert.word + "10")
-        if not lo <= u <= hi:
-            raise InvariantError(f"{u} escapes its own characteristic pair")
-        _must_verify(u, b, trace)
-        return PhiResult(b, Case.IV, cert, None, tuple(trace))
+        return _answer(u, Case.IV, cert, None, trace)
 
-    v, _ = _longest_central_prefix(u, trace)
-    letters = set(v)
-    if letters == {"1"}:
-        case, w = Case.I, v[:-1]
-        trace.append(f"all-ones prefix 1^{len(v)}: phi = (1^{len(v)}0)^oo")
-    elif letters == {"0"}:
-        case, w = Case.II, v[:-1]
-        trace.append(f"all-zeros prefix 0^{len(v)}: phi = (10^{len(v)})^oo")
+    v = _longest_central_prefix(u, trace)
+    if len(set(v)) == 1:
+        w, cert_v = v[:-1], None
+        trace.append(f"one-letter prefix {v[0]}^{len(v)}: w = {v[0]}^{len(w)}")
     else:
         cert_v = is_central(v)
         x, y = u.digit(len(v)), u.digit(len(v) + 1)
+        other = cert_v.w2 if x == "0" else cert_v.w1
         if x == y:
-            case, w = (Case.V_B, cert_v.w2) if x == "0" else (Case.V_C, cert_v.w1)
+            w = other
             trace.append(f"after {v!r}: xy = {x}{y}, no comparison needed")
         else:
             bound = v + x + y
@@ -233,25 +249,15 @@ def phi_zero_u(u: Seq) -> PhiResult:
                 raise InvariantError(
                     f"prefix {z!r} equals {bound!r}: contradicts maximality "
                     f"of the central prefix {v!r}")
-            z_high = z > bound
-            if x == "0":  # xy = 01
-                case, w = (Case.V_A, v) if z_high else (Case.V_B, cert_v.w2)
-            else:  # xy = 10
-                case, w = (Case.V_A, v) if not z_high else (Case.V_C, cert_v.w1)
-            rel = ">" if z_high else "<"
-            trace.append(f"after {v!r}: xy = {x}{y}, z {rel} v{x}{y}")
+            # xy = 01 keeps v when z > v01; xy = 10 keeps it when z < v10
+            high = z > bound
+            w = v if high == (x == "0") else other
+            trace.append(f"after {v!r}: xy = {x}{y}, z {'>' if high else '<'} v{x}{y}")
 
     cert = is_central(w)
     if cert is None:
         raise InvariantError(f"derived word {w!r} is not central")
-    b = Seq("", "1" + w + "0")
-    lo, hi = Seq("", w + "01"), Seq("", w + "10")
-    if not lo < u < hi:
-        raise InvariantError(
-            f"sandwich ({w}01)^oo < u < ({w}10)^oo fails for u = {u}")
-    trace.append(f"sandwich around central word {w!r} confirmed")
-    _must_verify(u, b, trace)
-    return PhiResult(b, case, cert, v, tuple(trace))
+    return _answer(u, _case(v, w, cert_v), cert, v, trace)
 
 
 def phi(a: Seq) -> PhiResult:
@@ -278,14 +284,14 @@ class PrefixDecision(namedtuple("PrefixDecision", "decided result reason",
 def phi_prefix(p_word: str) -> PrefixDecision:
     """Decide phi(0u) from a finite prefix of u, when the prefix forces it.
 
-    A candidate central word w is *witnessed* when both comparisons of the
-    prefix against (w01)^oo and (w10)^oo are settled by mismatches inside
-    the prefix, in the strict sandwich direction.  Every infinite
-    extension of the prefix then satisfies the same strict sandwich, and
+    A candidate central word w is *witnessed* when the prefix lies strictly
+    between the equally long prefixes of (w01)^oo and (w10)^oo, so that
+    every infinite extension of it satisfies the strict sandwich, and
     uniqueness of the sandwiching central word makes (1w0)^oo the answer
     for all of them.  Candidates are exactly the central prefixes of the
-    input, since every case of the analysis returns one of those.  If no
-    candidate is witnessed the call reports what stayed undecided.
+    input, since every case of the analysis returns one of those; the
+    longest labels the case.  If no candidate is witnessed the call
+    reports what stayed undecided.
     """
     check_word(p_word)
     if not p_word:
@@ -293,68 +299,32 @@ def phi_prefix(p_word: str) -> PrefixDecision:
     n = len(p_word)
     candidates = [p_word[:k] for k in range(n + 1)
                   if _central_periods(p_word[:k]) is not None]
-    winners: list[tuple[str, int, int]] = []
+    winners: list[str] = []
     best_reason: str | None = None
     for w in reversed(candidates):
-        low_i = _mismatch(p_word, Seq("", w + "01"))
-        high_i = _mismatch(p_word, Seq("", w + "10"))
-        if low_i is None or high_i is None:
-            side = f"({w}01)^oo" if low_i is None else f"({w}10)^oo"
-            if best_reason is None:
-                best_reason = (f"comparison against {side} is undecided "
-                               f"within the {n}-letter prefix")
-            continue
-        if p_word[low_i] == "1" and p_word[high_i] == "0":
-            winners.append((w, low_i, high_i))
+        reps = n // (len(w) + 2) + 1
+        lo, hi = ((w + "01") * reps)[:n], ((w + "10") * reps)[:n]
+        if p_word in (lo, hi) and best_reason is None:
+            side = f"({w}01)^oo" if p_word == lo else f"({w}10)^oo"
+            best_reason = (f"comparison against {side} is undecided "
+                           f"within the {n}-letter prefix")
+        elif lo < p_word < hi:
+            winners.append(w)
     if len(winners) > 1:
         raise InvariantError(
-            f"two central words witnessed for prefix {p_word!r}: "
-            f"{[w for w, _, _ in winners]!r}")
+            f"two central words witnessed for prefix {p_word!r}: {winners!r}")
     if not winners:
         if best_reason is None:
             best_reason = (f"no central prefix of {p_word!r} is strictly "
                            "sandwiched within the prefix")
         return PrefixDecision(False, None, best_reason)
 
-    w, low_i, high_i = winners[0]
-    cert = is_central(w)
-    case, visible = _prefix_case(p_word, w)
-    trace = (
-        f"lower bound ({w}01)^oo beaten at index {low_i}",
-        f"upper bound ({w}10)^oo beaten at index {high_i}",
-        "strict sandwich holds for every extension of the prefix",
-    )
-    b = Seq("", "1" + w + "0")
-    return PrefixDecision(True, PhiResult(b, case, cert, visible, trace), None)
-
-
-def _mismatch(word: str, s: Seq) -> int | None:
-    """First index where ``word`` and ``s`` differ, if inside the word."""
-    for i in range(len(word)):
-        if word[i] != s.digit(i):
-            return i
-    return None
-
-
-def _prefix_case(p_word: str, w: str) -> tuple[Case, str]:
-    # Diagnostic tag from the longest central prefix visible in the input;
-    # the phi value itself does not depend on this.
-    v = p_word[:sum(len(piece) for piece, _ in
-                    closure_chain(prefixes_of=p_word))]
-    letters = set(v)
-    if letters == {"1"}:
-        return Case.I, v
-    if letters == {"0"}:
-        return Case.II, v
-    cert_v = is_central(v)
-    if cert_v is not None and v:
-        if w == v:
-            return Case.V_A, v
-        if w == cert_v.w2:
-            return Case.V_B, v
-        if w == cert_v.w1:
-            return Case.V_C, v
-    return Case.V_A, v
+    w, v = winners[0], candidates[-1]
+    trace = (f"the {n}-letter prefix lies strictly between those of "
+             f"({w}01)^oo and ({w}10)^oo",
+             "strict sandwich holds for every extension of the prefix")
+    return PrefixDecision(True, PhiResult(
+        Seq("", "1" + w + "0"), _case(v, w), is_central(w), v, trace), None)
 
 
 # -- aperiodic characteristic bounds --------------------------------------
@@ -369,14 +339,14 @@ class SturmianPhi(Value):
     refused with DomainError.  Instances are immutable.
     """
 
-    __slots__ = ("directive", "case")
+    __slots__ = ("directive",)
+    case = Case.III_STURMIAN
 
-    def __init__(self, directive: Seq, case: Case = Case.III_STURMIAN):
+    def __init__(self, directive: Seq):
         if not is_sturmian_directive(directive):
             raise DomainError("directive is eventually constant; the limit is "
                               "periodic and handled by the slope-based path")
         object.__setattr__(self, "directive", directive)
-        object.__setattr__(self, "case", case)
 
     @property
     def symbolic(self) -> str:

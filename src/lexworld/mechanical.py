@@ -10,7 +10,7 @@ directive sequences, whose block lengths encode the continued fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, pairwise
 from math import ceil, floor, gcd
 
 from .cf import cf_of_rational, directive_from_cf
@@ -46,17 +46,20 @@ def mech_periodic(p: int, q: int, rho: Fraction = Fraction(0),
 
     Advancing n by q adds the integer p inside both floor (or ceiling)
     terms, so q is always a period; canonicalisation then exposes the
-    minimal one.
+    minimal one.  Writing n alpha + rho = (n a + c) / d, each level
+    floor(..) or ceil(..) = -floor(-..) is one integer floor division.
     """
     if q < 1 or not 0 <= p <= q:
         raise DomainError(
             f"need 0 <= p <= q with q >= 1, got {numeral(p)}/{numeral(q)}")
     if gcd(p, q) != 1:
         raise DomainError(f"p={numeral(p)} and q={numeral(q)} are not coprime")
-    alpha = Fraction(p, q)
-    digit = mech_upper if upper else mech_lower
-    word = "".join(str(digit(alpha, Fraction(rho), n)) for n in range(q))
-    return Seq("", word)
+    rho = Fraction(rho)
+    _check_params(Fraction(p, q), rho, 0)
+    a, c, d = p * rho.denominator, rho.numerator * q, q * rho.denominator
+    sign = -1 if upper else 1
+    levels = (sign * (sign * (n * a + c) // d) for n in range(q + 1))
+    return Seq("", "".join(str(hi - lo) for lo, hi in pairwise(levels)))
 
 
 def characteristic_pair(p: int, q: int) -> tuple[Seq, Seq]:

@@ -80,6 +80,30 @@ def test_mech_upper(capsys):
     assert out.splitlines()[0] == "digits = 01001"
 
 
+def test_integer_options_name_their_grammar(capsys):
+    code, out, err = invoke(capsys, "F", "1/3", "--check", "+8")
+    assert (code, out) == (1, "")
+    assert err == "error: --check takes an integer -?[0-9]+, not '+8'\n"
+    code, _, err = invoke(capsys, "mech", "--alpha", "1/3", "-n", "9" * 5000)
+    assert code == 1 and err.startswith("error: -n is too long")
+
+
+@pytest.mark.parametrize("alpha,n,digits", [
+    ("1/3", "1000000", "001" * 333333 + "0"),
+    ("1/100003", "5", "00000"),
+], ids=["long-prefix", "long-period"])
+def test_mech_finishes_quickly(alpha, n, digits):
+    # the digits are a prefix of the periodic sequence, whose q digits are
+    # written by integer floor division
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lexworld", "mech", "--alpha", alpha, "-n", n],
+        capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == f"digits = {digits}"
+
+
 def test_sturmian_prefix(capsys):
     _, out, _ = invoke(capsys, "sturmian-prefix", "--directive", "(01)",
                        "-n", "28")
@@ -340,7 +364,6 @@ VALID = [argv for case in [
     (["F"], ["1/3"], [("--check", "-3")]),
     (["mech"], [], [("--alpha", "2/5"), ("--rho", "-1/3"), ("-n", "6")]),
     (["mech"], [], [("--alpha", "-2/5"), ("-n", "-1")]),
-    (["sturmian-prefix"], [], [("--directive", "(01)"), ("-n", "+7")]),
 ] for argv in _spellings(*case)]
 
 MALFORMED = [
@@ -356,12 +379,17 @@ MALFORMED = [
 ]
 
 # Spellings that argparse accepted and the table's parser refuses: long
-# option abbreviations, an option's value attached to its short name, and
-# "--" before the positionals.
+# option abbreviations, an option's value attached to its short name, "--"
+# before the positionals, and integers outside -?[0-9]+ that int() reads
+# (a sign, "_" separators, spaces, non-ASCII digits).
 REFUSED_NOW = [
     ["phi", "--dir", "(01)"], ["--em", "json", "F", "1/3"],
     ["mech", "--alpha", "2/5", "--up", "-n", "3"],
     ["mech", "--alpha", "2/5", "-n5"], ["F", "--", "1/3"],
+    ["sturmian-prefix", "--directive", "(01)", "-n", "+7"],
+    ["sturmian-prefix", "--directive", "(01)", "-n", "1_0"],
+    ["sturmian-prefix", "--directive", "(01)", "-n", " \u0661\u0662 "],
+    ["F", "1/3", "--check", "\u0668"],
 ]
 
 

@@ -6,13 +6,13 @@ from math import gcd
 
 import pytest
 
-from lexworld.central import palindromic_closure
-from lexworld.errors import DomainError
+from lexworld.central import is_central, palindromic_closure
+from lexworld.errors import DomainError, InvariantError
 from lexworld.lexmap import (Case, F, SturmianPhi, classify,
                              lex_world_member, phi, phi_prefix, phi_sturmian,
                              phi_zero_u, sigma_member, verify_phi, KIND_ALL_ONE,
                              KIND_ALL_ZERO, KIND_CPB, KIND_GENERIC,
-                             _longest_central_prefix)
+                             _case, _longest_central_prefix)
 from lexworld.mechanical import mech_periodic
 from lexworld.words import LT, EQ, ONE, ZERO, Seq, expansion
 
@@ -230,6 +230,37 @@ def test_phi_prefix_sweep_is_extension_independent():
     assert decided > 200
 
 
+def test_phi_prefix_and_phi_zero_u_share_the_case_table():
+    # Both label their answers through one case table; a decided prefix and
+    # any extension of it must agree on the case as well as on phi.
+    decided = 0
+    for n in range(1, 13):
+        for i in range(1 << n):
+            prefix = format(i, f"0{n}b")
+            decision = phi_prefix(prefix)
+            if not decision.decided:
+                continue
+            decided += 1
+            want = decision.result
+            for tail in ("0", "1", "01"):
+                got = phi_zero_u(Seq(prefix, tail))
+                assert (got.phi, got.case) == (want.phi, want.case), \
+                    (prefix, tail)
+    assert decided > 2000
+
+
+def test_case_table_refuses_a_word_outside_the_analysis():
+    v = "010010"  # = w1 01 w2 = w2 10 w1 with w1 = "010", w2 = "0"
+    cert = is_central(v)
+    assert (cert.w1, cert.w2) == ("010", "0")
+    assert [_case(v, w) for w in (v, "0", "010")] == \
+        [Case.V_A, Case.V_B, Case.V_C]
+    assert (_case("111", "11"), _case("00", "0")) == (Case.I, Case.II)
+    for w in ("", "01", "0100", "010010010"):
+        with pytest.raises(InvariantError):
+            _case(v, w)
+
+
 # -- symbolic aperiodic results ---------------------------------------------------
 
 def test_phi_sturmian_golden_ratio_directive():
@@ -237,7 +268,11 @@ def test_phi_sturmian_golden_ratio_directive():
     assert sym.symbolic == "1*Pal((01))"
     assert sym.phi_value_prefix(14) == "10100101001001"
     assert sym.slope_cf(6) == (2, 1, 1, 1, 1, 1)
-    assert sym.case is Case.III_STURMIAN
+    assert sym.case is SturmianPhi.case is Case.III_STURMIAN
+    # the case is a class constant: fields, repr and pickle carry only the
+    # directive
+    assert sym.__reduce__() == (SturmianPhi, (Seq("", "01"),))
+    assert repr(sym) == "SturmianPhi(directive=Seq(pre='', per='01'))"
 
 
 def test_phi_sturmian_swapped_directive():
@@ -379,8 +414,9 @@ def test_longest_central_prefix_matches_reference_on_small_family():
         if classify(u).kind != KIND_GENERIC:
             continue
         trace = []
-        assert _longest_central_prefix(u, trace) == \
-            reference_longest_central_prefix(u), u
+        v = _longest_central_prefix(u, trace)
+        ref_v, ref_directive = reference_longest_central_prefix(u)
+        assert (v, is_central(v).directive) == (ref_v, ref_directive), u
         assert "longest central prefix" in trace[0]
         checked += 1
     assert checked > 1000
@@ -400,7 +436,8 @@ def test_longest_central_prefix_matches_reference_past_the_window():
         u = Seq(pre, rng.choice(["0", "1", "01", "110"]))
         if classify(u).kind != KIND_GENERIC:
             continue
-        got = _longest_central_prefix(u, [])
-        assert got == reference_longest_central_prefix(u), u
-        longest = max(longest, len(got[0]))
+        v = _longest_central_prefix(u, [])
+        ref_v, ref_directive = reference_longest_central_prefix(u)
+        assert (v, is_central(v).directive) == (ref_v, ref_directive), u
+        longest = max(longest, len(v))
     assert longest > 256

@@ -69,6 +69,27 @@ def test_mech_periodic_rejects_non_coprime():
         mech_periodic(3, -10 ** 5000)
 
 
+def test_mech_periodic_prefix_matches_the_digit_formulas():
+    # mech_periodic writes its digits by integer floor division; the
+    # per-digit Fraction formulas are the reference.
+    for q in range(1, 21):
+        for p in (p for p in range(q + 1) if gcd(p, q) == 1):
+            for rho in (F(0), F(1, 3), F(1, 2), F(p, q), F(1)):
+                for upper in (False, True):
+                    digit = mech_upper if upper else mech_lower
+                    n = 2 * q + 3
+                    want = "".join(str(digit(F(p, q), rho, k))
+                                   for k in range(n))
+                    got = mech_periodic(p, q, rho, upper).prefix(n)
+                    assert got == want, (p, q, rho, upper)
+
+
+def test_mech_periodic_refuses_an_intercept_outside_the_unit_interval():
+    for rho in (F(-1, 3), F(3, 2)):
+        with pytest.raises(DomainError, match="intercept"):
+            mech_periodic(2, 5, rho)
+
+
 def test_mech_periodic_general_intercept_stays_periodic():
     s = mech_periodic(1, 2, F(1, 3))
     assert s == Seq("", "01")

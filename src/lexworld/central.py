@@ -16,7 +16,8 @@ from math import gcd
 
 from .cf import cf_of_rational, directive_from_cf
 from .errors import DomainError, InvariantError, Value
-from .words import check_word, is_period, minimal_period, numeral
+from .words import (EXPANSION_BUDGET, check_word, is_period, minimal_period,
+                    numeral)
 
 
 def is_balanced(w: str) -> bool:
@@ -117,50 +118,41 @@ def _central_periods(w: str) -> tuple[int, int] | None:
 
 
 class CentralCertificate(Value):
-    """A central word with its slope, period pair, factorisation, directive.
+    """A central word with its directive; the rest is read off the word.
 
-    ``word`` is the central word of slope p/q, so len(word) = q - 2 with
-    p - 1 ones.  ``ell1`` and ``ell2`` are the coprime periods with
-    ell1 + ell2 = q, oriented so that word = w1 01 w2 = w2 10 w1 with
-    |w1| = ell1 - 2 and |w2| = ell2 - 2 whenever both letters occur
-    (w1 and w2 are None for words in 0* or 1*).  ell2 is the period m
-    with m*p = 1 (mod q).  pal(directive) reproduces the word.  The
-    constructor checks all of this; instances are immutable.
+    ``word`` is the central word of slope p/q: q = len(word) + 2, with
+    p - 1 ones.  ``ell1`` + ``ell2`` = q are its coprime periods, ell2*p = 1
+    (mod q), and word = w1 01 w2 = w2 10 w1 with |w1| = ell1 - 2 and
+    |w2| = ell2 - 2 when both letters occur (else w1 = w2 = None).  The
+    constructor checks what these formulas leave open: binary words,
+    gcd(p, q) = 1, (ell1, ell2) being the coprime period pair, which holds
+    the minimal period, pal(directive) == word, and the factorisation.
+    Instances are immutable.
     """
 
-    __slots__ = ("word", "p", "q", "ell1", "ell2", "w1", "w2", "directive")
+    __slots__ = ("word", "directive")
 
-    def __init__(self, word: str, p: int, q: int, ell1: int, ell2: int,
-                 w1: str | None, w2: str | None, directive: str):
-        w = word
-        ok = (
-            0 < p < q
-            and gcd(p, q) == 1
-            and len(w) == q - 2
-            and w.count("1") == p - 1
-            and ell1 + ell2 == q
-            and gcd(ell1, ell2) == 1
-            and ell2 * p % q == 1
-            and (not w or is_period(w, ell1))
-            and (not w or is_period(w, ell2))
-            and (not w or min(ell1, ell2) == minimal_period(w))
-            and pal(directive) == w
-        )
-        if ok and "0" in w and "1" in w:
-            ok = (
-                w1 is not None
-                and w2 is not None
-                and len(w1) == ell1 - 2
-                and len(w2) == ell2 - 2
-                and w == w1 + "01" + w2 == w2 + "10" + w1
-            )
-        elif ok:
-            ok = w1 is None and w2 is None
+    def __init__(self, word: str, directive: str):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "directive", directive)
+        # strip("01") leaves a non-binary letter or nothing
+        ok = (isinstance(word, str) and isinstance(directive, str)
+              and not (word + directive).strip("01")
+              and gcd(self.p, self.q) == 1
+              and _central_periods(word) == tuple(sorted((self.ell1, self.ell2)))
+              and pal(directive) == word)
+        if ok and self.w1 is not None:
+            ok = word == self.w1 + "01" + self.w2 == self.w2 + "10" + self.w1
         if not ok:
-            raise InvariantError(f"inconsistent central certificate for {w!r}")
-        for name, value in zip(self.__slots__,
-                               (word, p, q, ell1, ell2, w1, w2, directive)):
-            object.__setattr__(self, name, value)
+            raise InvariantError(f"inconsistent central certificate for {word!r}")
+
+    q = property(lambda self: len(self.word) + 2)
+    p = property(lambda self: self.word.count("1") + 1)
+    ell2 = property(lambda self: pow(self.p, -1, self.q))
+    ell1 = property(lambda self: self.q - self.ell2)
+    _split = property(lambda self: "0" in self.word and "1" in self.word)
+    w1 = property(lambda self: self.word[:self.ell1 - 2] if self._split else None)
+    w2 = property(lambda self: self.word[self.ell1:] if self._split else None)
 
 
 def is_central(w: str) -> CentralCertificate | None:
@@ -168,8 +160,7 @@ def is_central(w: str) -> CentralCertificate | None:
 
     A word's central prefixes form one closure chain, so ``w`` is central
     exactly when the chain walked along it reaches its end; the walk's
-    letters are the directive.  The certificate checks the period pair,
-    the minimal period and the factorisation.
+    letters are the directive, and the certificate checks the rest.
     """
     check_word(w)
     n, directive = 0, []
@@ -178,20 +169,11 @@ def is_central(w: str) -> CentralCertificate | None:
         directive.append(x)
     if n != len(w):
         return None
-    q = len(w) + 2
-    p = w.count("1") + 1
-    m = pow(p, -1, q)
-    ell1, ell2 = q - m, m
-    if "0" in w and "1" in w:
-        w1, w2 = w[:ell1 - 2], w[ell1:]
-    else:
-        w1 = w2 = None
-    return CentralCertificate(w, p, q, ell1, ell2, w1, w2, "".join(directive))
+    return CentralCertificate(w, "".join(directive))
 
 
 def directive_of_central(w: str) -> str:
-    """The unique v with pal(v) == w; rejects non-central words.  The
-    certificate checks pal(v) == w."""
+    """The unique v with pal(v) == w; rejects non-central words."""
     cert = is_central(w)
     if cert is None:
         raise DomainError(f"{w!r} is not central")
@@ -271,26 +253,30 @@ def central_from_slope(p: int, q: int) -> CentralCertificate:
     (a) digits of the zero-intercept mechanical sequence with its bounding
     letters stripped, (b) the palindromic closure of the directive word of
     the continued fraction, (c) reconstruction from the coprime period pair
-    (q - m, m) with m*p = 1 (mod q).  All three must agree.
+    (q - m, m) with m*p = 1 (mod q).  All three must agree: (a) against (c)
+    here, (b) in the certificate, which checks pal(directive) == word.  A q
+    above ``EXPANSION_BUDGET`` is refused before any digit is written.
     """
     if not (0 < p < q) or gcd(p, q) != 1:
         raise DomainError(
             f"need coprime 0 < p < q, got {numeral(p)}/{numeral(q)}")
+    if q > EXPANSION_BUDGET:
+        raise DomainError(f"slope denominator {numeral(q)} exceeds the "
+                          f"budget of {EXPANSION_BUDGET} letters")
     # (a) floor-difference digits of slope p/q, intercept 0
     digits = "".join(str((n + 1) * p // q - n * p // q) for n in range(q))
     if digits[0] != "0" or digits[-1] != "1":
         raise InvariantError("mechanical period must start 0 and end 1")
     w_mech = digits[1:-1]
-    # (b) palindromic closure of the directive word
-    w_pal = pal(directive_from_cf(cf_of_rational(p, q)))
     # (c) coprime-period reconstruction
     w_per = _word_from_periods(p, q)
-    if not (w_mech == w_pal == w_per):
+    if w_mech != w_per:
         raise InvariantError(
-            f"slope {p}/{q}: routes disagree ({w_mech!r}, {w_pal!r}, {w_per!r})")
-    cert = is_central(w_mech)
-    if cert is None or (cert.p, cert.q) != (p, q):
-        raise InvariantError(f"slope {p}/{q}: constructed word failed recognition")
+            f"slope {p}/{q}: routes disagree ({w_mech!r}, {w_per!r})")
+    # (b) palindromic closure of the directive word, checked by the certificate
+    cert = CentralCertificate(w_mech, directive_from_cf(cf_of_rational(p, q)))
+    if (cert.p, cert.q) != (p, q):
+        raise InvariantError(f"slope {p}/{q}: constructed word has another slope")
     return cert
 
 

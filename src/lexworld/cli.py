@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 
 from .errors import DomainError
-from .words import parse_rational, parse_seq
+from .words import EXPANSION_BUDGET, parse_rational, parse_seq
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -95,6 +95,8 @@ def _mech(alpha, rho, upper, n):
     alpha, rho = parse_rational(alpha), parse_rational(rho)
     if n < 0:
         raise DomainError("-n must be nonnegative")
+    if n > EXPANSION_BUDGET:
+        raise DomainError(f"-n exceeds the budget of {EXPANSION_BUDGET} digits")
     seq = mechanical.mech_periodic(alpha.numerator, alpha.denominator, rho, upper)
     return [("digits", seq.prefix(n)), ("sequence", seq)]
 

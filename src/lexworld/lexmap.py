@@ -22,8 +22,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .central import (CentralCertificate, central_from_slope, closure_chain,
-                      is_balanced, is_central, _central_periods)
+from .central import (CentralCertificate, closure_chain, is_balanced,
+                      is_central, _central_periods)
 from .errors import DomainError, InvariantError, Value
 from .mechanical import characteristic_sturmian_prefix, is_sturmian_directive
 from .words import EQ, GT, LT, ONE, ZERO, Seq, check_word, expansion, numeral
@@ -225,7 +225,9 @@ def phi_zero_u(u: Seq) -> PhiResult:
         return _answer(u, Case.II, None, None, trace)
 
     if cls.kind == KIND_CPB:
-        cert = central_from_slope(cls.p, cls.q)
+        cert = is_central(u.per[:-2])
+        if cert is None:
+            raise InvariantError(f"{u.per[:-2]!r} is not central")
         trace.append(
             f"characteristic periodic input of slope {cls.p}/{cls.q} "
             f"({cls.variant}); phi = (1{cert.word}0)^oo")
@@ -387,14 +389,14 @@ def phi_sturmian(delta: Seq) -> SturmianPhi:
 # -- the number-theoretic endpoint ----------------------------------------
 
 
-class FResult(namedtuple("FResult",
-                         "x F phi_expansion case verified cmp_x_plus_half")):
+class FResult(namedtuple("FResult", "x F phi_expansion case cmp_x_plus_half")):
     """Least right endpoint ``F`` = F(x) with its combinatorial evidence:
-    the sequence ``phi_expansion`` whose value it is, the ``case``, the
-    ``verified`` flag, and ``cmp_x_plus_half`` (LT or EQ against x + 1/2;
-    None at the boundaries)."""
+    the sequence ``phi_expansion`` whose value it is, the ``case``, and
+    ``cmp_x_plus_half`` (LT or EQ against x + 1/2; None at the
+    boundaries).  Every result is ``verified``: F checks it first."""
 
     __slots__ = ()
+    verified = True
 
 
 def F(x: Fraction) -> FResult:
@@ -415,9 +417,9 @@ def F(x: Fraction) -> FResult:
     if x < 0 or x > 1:
         raise DomainError(f"F is defined on [0, 1], got {numeral(x)}")
     if x > Fraction(1, 2):
-        return FResult(x, Fraction(1), ONE, Case.BOUNDARY_X_GT_HALF, True, None)
+        return FResult(x, Fraction(1), ONE, Case.BOUNDARY_X_GT_HALF, None)
     if x == 0:
-        return FResult(x, Fraction(0), ZERO, Case.BOUNDARY_X_ZERO, True, None)
+        return FResult(x, Fraction(0), ZERO, Case.BOUNDARY_X_ZERO, None)
 
     a = expansion(x)  # lesser form, begins with 0 since x <= 1/2
     res = phi(a)
@@ -430,4 +432,4 @@ def F(x: Fraction) -> FResult:
     if res.longest_central_prefix is not None and cmp != LT:
         raise InvariantError(
             f"F({numeral(x)}) fails the strict bound below x + 1/2")
-    return FResult(x, fval, res.phi, res.case, True, cmp)
+    return FResult(x, fval, res.phi, res.case, cmp)

@@ -16,7 +16,7 @@ from math import ceil, floor, gcd
 from .cf import cf_of_rational, directive_from_cf
 from .central import central_from_slope, closure_chain
 from .errors import DomainError, InvariantError
-from .words import Seq, numeral
+from .words import EXPANSION_BUDGET, Seq, numeral
 
 
 def _check_params(alpha: Fraction, rho: Fraction, n: int) -> None:
@@ -54,6 +54,9 @@ def mech_periodic(p: int, q: int, rho: Fraction = Fraction(0),
             f"need 0 <= p <= q with q >= 1, got {numeral(p)}/{numeral(q)}")
     if gcd(p, q) != 1:
         raise DomainError(f"p={numeral(p)} and q={numeral(q)} are not coprime")
+    if q > EXPANSION_BUDGET:
+        raise DomainError(f"period {numeral(q)} exceeds the budget of "
+                          f"{EXPANSION_BUDGET} digits")
     rho = Fraction(rho)
     _check_params(Fraction(p, q), rho, 0)
     a, c, d = p * rho.denominator, rho.numerator * q, q * rho.denominator
@@ -92,6 +95,9 @@ def characteristic_sturmian_prefix(delta: Seq, n: int) -> str:
     """First ``n`` letters of the closure limit of a non-constant directive."""
     if n < 1:
         raise DomainError("prefix length must be positive")
+    if n > EXPANSION_BUDGET:
+        raise DomainError(f"prefix length {numeral(n)} exceeds the budget of "
+                          f"{EXPANSION_BUDGET} letters")
     if not is_sturmian_directive(delta):
         raise DomainError(
             "directive is eventually constant; its limit is periodic, "

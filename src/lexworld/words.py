@@ -229,9 +229,13 @@ def numeral(x: Fraction | int) -> str:
                 f" and q of {x.denominator.bit_length()} binary digits")
 
 
-# Most digits (preperiod plus period) that ``expansion`` writes out; a
-# larger expansion is refused.  2**22 keeps every period up to four
-# million digits, e.g. 1/1000003 (period 1000002), in reach.
+# Most letters that lexworld writes out for one number: the digits
+# (preperiod plus period) of ``expansion``, the period q of
+# ``mech_periodic`` and ``central_from_slope``, and a prefix length n of
+# ``characteristic_sturmian_prefix`` or of the CLI's ``mech -n``.  A
+# larger request is refused with DomainError before any letter is built.
+# 2**22 keeps every period up to four million digits, e.g. 1/1000003
+# (period 1000002), in reach.
 EXPANSION_BUDGET = 1 << 22
 
 
@@ -310,31 +314,28 @@ def expansion(x: Fraction, greater: bool = False) -> Seq:
 
 # -- text grammar -------------------------------------------------------
 #
-# WORD ::= [01]*          SEQ ::= WORD | WORD "(" WORD ")"
-#
 # "pre(per)" denotes pre . per^oo; a bare word w is read as w . 0^oo (the
 # terminating-expansion convention).  Printing always uses the pre(per)
 # spelling of the canonical form.
 
+# SEQ ::= [01]* ("(" [01]+ ")")?
+_SEQ = re.compile(r"([01]*)(?:\(([01]+)\))?")
+# Longest start of a text that some SEQ continues: its end is the first
+# index at which a malformed text goes wrong.
+_SEQ_START = re.compile(r"[01]*(?:\((?:[01]+\)?)?)?")
+
 
 def parse_seq(text: str) -> Seq:
-    open_i = text.find("(")
-    if open_i == -1:
-        return Seq(check_word(text), "0")
-    pre = text[:open_i]
-    check_word(pre)
-    if not text.endswith(")"):
-        raise ParseError("expected ')' to close the period", len(text))
-    per = text[open_i + 1:-1]
-    if "(" in per or ")" in per:
-        raise ParseError("nested parentheses in sequence", open_i + 1 + min(
-            i for i, c in enumerate(per) if c in "()"))
-    for i, c in enumerate(per):
-        if c not in "01":
-            raise ParseError(f"invalid character {c!r} in period", open_i + 1 + i)
-    if not per:
-        raise ParseError("period must be nonempty", open_i + 1)
-    return Seq(pre, per)
+    """Read ``pre(per)`` or a bare word; a ParseError names the first
+    offending position."""
+    match = _SEQ.fullmatch(text)
+    if match is None:
+        i = _SEQ_START.match(text).end()
+        if i == len(text):
+            raise ParseError("sequence ends early", i)
+        raise ParseError(f"invalid character {text[i]!r} in sequence", i)
+    pre, per = match.groups()
+    return Seq(pre, per or "0")
 
 
 # RATIONAL ::= "-"? DIGITS ("/" DIGITS)?     DIGITS ::= [0-9]+   (ASCII only)

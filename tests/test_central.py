@@ -15,6 +15,8 @@ from lexworld.central import (CentralCertificate, _central_periods,
                               standard_factorization)
 from lexworld.errors import DomainError, InvariantError
 from lexworld.mechanical import mech_periodic
+from lexworld.oracle import enumerate_central
+from lexworld.words import EXPANSION_BUDGET, is_period, minimal_period
 
 
 def central_words_upto(max_len):
@@ -194,16 +196,62 @@ def test_is_central_empty_word():
 
 
 def test_certificate_rejects_inconsistent_fields():
-    good = ("010", 2, 5, 2, 3, "", "0", "01")
-    cert = CentralCertificate(*good)
+    cert = CentralCertificate("010", "01")
     assert cert == is_central("010") and hash(cert) == hash(is_central("010"))
-    for i, bad in [(1, 3), (3, 3), (4, 2), (5, "0"), (6, None), (7, "10")]:
-        fields = list(good)
-        fields[i] = bad
+    for word, directive in [
+        ("010", "10"),    # central, but pal("10") = "101"
+        ("0110", "01"),   # gcd(p, q) = gcd(3, 6) = 3
+        ("0101", "01"),   # gcd(p, q) = gcd(3, 6) = 3
+        ("011", "01"),    # gcd(3, 5) = 1, but 2 is no period
+        ("0a0", "01"),    # not a binary word
+        ("010", "0x"),    # nor a binary directive
+        (None, "01"),
+    ]:
         with pytest.raises(InvariantError):
-            CentralCertificate(*fields)
-    with pytest.raises(InvariantError):  # constant words carry no factors
-        CentralCertificate("00", 1, 4, 3, 1, "0", "", "00")
+            CentralCertificate(word, directive)
+
+
+def test_certificate_carries_only_word_and_directive():
+    cert = is_central("010010")
+    assert CentralCertificate.__slots__ == ("word", "directive")
+    assert repr(cert) == "CentralCertificate(word='010010', directive='010')"
+    assert cert.__reduce__() == (CentralCertificate, ("010010", "010"))
+    assert (cert.p, cert.q, cert.ell1, cert.ell2) == (3, 8, 5, 3)
+    assert (cert.w1, cert.w2) == ("010", "0")
+
+
+def assert_read_off_fields_hold(cert):
+    """What the certificate reads off its word without checking it."""
+    w, p, q, ell1, ell2 = cert.word, cert.p, cert.q, cert.ell1, cert.ell2
+    assert (len(w), w.count("1")) == (q - 2, p - 1)
+    assert ell1 + ell2 == q and ell2 * p % q == 1
+    if w:
+        assert is_period(w, ell1) and is_period(w, ell2)
+        assert min(ell1, ell2) == minimal_period(w)
+    if len(set(w)) < 2:
+        assert cert.w1 is None and cert.w2 is None
+    else:
+        assert (len(cert.w1), len(cert.w2)) == (ell1 - 2, ell2 - 2)
+
+
+def seeded_slopes(count=200, max_q=2000):
+    rng = random.Random(20261018)
+    out = []
+    for _ in range(count):
+        q = rng.randrange(3, max_q + 1)
+        out.append((rng.choice([p for p in range(1, q) if gcd(p, q) == 1]), q))
+    return out
+
+
+def test_certificate_fields_hold_by_construction_up_to_fourteen():
+    found = []
+    for n in range(15):
+        for bits in product("01", repeat=n):
+            cert = is_central("".join(bits))
+            if cert is not None:
+                assert_read_off_fields_hold(cert)
+                found.append(cert.word)
+    assert sorted(found) == sorted(enumerate_central(14))
 
 
 def test_certificate_is_immutable():
@@ -273,6 +321,8 @@ def test_central_from_slope_rejects_bad_input():
         central_from_slope(5, 3)
     with pytest.raises(DomainError):
         central_from_slope(0, 3)
+    with pytest.raises(DomainError, match="budget"):
+        central_from_slope(1, EXPANSION_BUDGET + 1)
     # integers past the interpreter's int-string limit
     with pytest.raises(DomainError, match="binary digits"):
         central_from_slope(2, 2 * 10 ** 5000)
@@ -285,6 +335,22 @@ def test_central_from_slope_fibonacci_within_time_bound():
     cert = central_from_slope(6765, 10946)
     assert time.perf_counter() - t0 < 5
     assert len(cert.word) == 10944 and cert.directive == "10" * 9
+
+
+def floor_word(p, q):
+    return "".join(str((n + 1) * p // q - n * p // q) for n in range(1, q - 1))
+
+
+def test_three_routes_agree_on_every_slope_up_to_150_and_seeded():
+    # central_from_slope raises InvariantError when its routes disagree
+    slopes = [(p, q) for q in range(2, 151) for p in range(1, q)
+              if gcd(p, q) == 1]
+    assert len(slopes) == 6857
+    for p, q in slopes + seeded_slopes():
+        cert = central_from_slope(p, q)
+        assert cert.word == floor_word(p, q), (p, q)
+        assert (cert.p, cert.q) == (p, q)
+        assert_read_off_fields_hold(cert)
 
 
 def test_slope_recovery_round_trip():
@@ -399,6 +465,11 @@ def test_pal_extension_one():
 def test_pal_extension_rejects_constants():
     with pytest.raises(DomainError):
         pal_extension(is_central(""), "0")
+
+
+def test_pal_extension_rejects_a_non_binary_letter():
+    with pytest.raises(DomainError):
+        pal_extension(is_central("010"), "2")
 
 
 def test_pal_extension_matches_directive_route():

@@ -104,6 +104,26 @@ def test_mech_finishes_quickly(alpha, n, digits):
     assert proc.stdout.splitlines()[0] == f"digits = {digits}"
 
 
+PAST_BUDGET = str((1 << 22) + 1)  # one past EXPANSION_BUDGET
+
+
+@pytest.mark.parametrize("argv", [
+    ["mech", "--alpha", "1/3", "-n", PAST_BUDGET],
+    ["sturmian-prefix", "--directive", "(01)", "-n", PAST_BUDGET],
+    ["phi", "--directive", "(01)", "-n", PAST_BUDGET],
+    ["mech", "--alpha", f"1/{PAST_BUDGET}", "-n", "5"],
+    ["central-make", f"1/{PAST_BUDGET}"],
+], ids=["mech-n", "sturmian-prefix-n", "phi-directive-n", "mech-alpha",
+        "central-make"])
+def test_words_past_the_budget_are_refused_quickly(argv):
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "lexworld", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - t0 < 1
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "budget" in proc.stderr
+
+
 def test_sturmian_prefix(capsys):
     _, out, _ = invoke(capsys, "sturmian-prefix", "--directive", "(01)",
                        "-n", "28")

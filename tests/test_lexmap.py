@@ -6,9 +6,10 @@ from math import gcd
 
 import pytest
 
-from lexworld.central import is_central, palindromic_closure
+from lexworld.central import (central_from_slope, is_central,
+                              palindromic_closure)
 from lexworld.errors import DomainError, InvariantError
-from lexworld.lexmap import (Case, F, SturmianPhi, classify,
+from lexworld.lexmap import (Case, F, FResult, SturmianPhi, classify,
                              lex_world_member, phi, phi_prefix, phi_sturmian,
                              phi_zero_u, sigma_member, verify_phi, KIND_ALL_ONE,
                              KIND_ALL_ZERO, KIND_CPB, KIND_GENERIC,
@@ -75,6 +76,18 @@ def test_phi_worked_example_slope_three_eighths():
     assert res.phi == Seq("", "10100100")
     assert res.case is Case.V_A
     assert res.central.word == "010010"
+
+
+def test_characteristic_inputs_share_the_slope_certificate():
+    # case iv certifies u.per less its last two letters; both ends of the
+    # slope's plateau get the certificate that central_from_slope builds
+    for q in range(2, 41):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                cert = central_from_slope(p, q)
+                for tail in ("01", "10"):
+                    res = phi_zero_u(Seq("", cert.word + tail))
+                    assert (res.case, res.central) == (Case.IV, cert), (p, q)
 
 
 def test_phi_characteristic_input():
@@ -151,6 +164,17 @@ def test_verify_phi_fails_on_wrong_answer():
 
 def test_verify_phi_trivial_constants():
     assert verify_phi(ZERO, ZERO).passed
+
+
+@pytest.mark.parametrize("u,b,failure", [
+    (ZERO, ONE, "above the upper bound"),
+    (ONE, Seq("0", "1"), "exceeds the sequence itself"),
+    (ZERO, Seq("", "1100"), "not balanced"),
+])
+def test_verify_phi_reports_each_failure(u, b, failure):
+    report = verify_phi(u, b)
+    assert not report.passed
+    assert any(failure in f for f in report.failures), report.failures
 
 
 def test_sigma_member_examples():
@@ -378,7 +402,9 @@ def test_f_above_half_is_one_without_expanding_x():
 
 def test_f_verified_flag_always_true():
     for x in (Fr(0), Fr(1, 7), Fr(1, 2), Fr(9, 10)):
-        assert F(x).verified
+        assert F(x).verified is True
+    # a class constant, not a field: every returned result was verified
+    assert "verified" not in FResult._fields
 
 
 # -- exhaustive self-consistency sweep --------------------------------------------

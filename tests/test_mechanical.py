@@ -10,7 +10,7 @@ from lexworld.mechanical import (characteristic_pair,
                                  characteristic_periodic_via_pal,
                                  characteristic_sturmian_prefix, mech_lower,
                                  mech_periodic, mech_upper)
-from lexworld.words import Seq
+from lexworld.words import EXPANSION_BUDGET, Seq
 
 F = Fraction
 
@@ -21,6 +21,15 @@ FIB = Seq("", "01")  # directive of the golden-ratio-conjugate slope
 
 def test_lower_digits_slope_two_fifths():
     assert [mech_lower(F(2, 5), F(0), n) for n in range(5)] == [0, 0, 1, 0, 1]
+
+
+def test_budget_bounds_prefix_length_and_period():
+    prefix = characteristic_sturmian_prefix(FIB, EXPANSION_BUDGET)
+    assert len(prefix) == EXPANSION_BUDGET
+    with pytest.raises(DomainError, match="budget"):
+        characteristic_sturmian_prefix(FIB, EXPANSION_BUDGET + 1)
+    with pytest.raises(DomainError, match="budget"):
+        mech_periodic(1, EXPANSION_BUDGET + 1)
 
 
 def test_lower_digits_constant_slopes():
@@ -41,6 +50,8 @@ def test_digit_formulas_reject_out_of_range():
         mech_lower(F(3, 2), F(0), 0)
     with pytest.raises(DomainError):
         mech_upper(F(1, 2), F(2), 0)
+    with pytest.raises(DomainError, match="nonnegative"):
+        mech_lower(F(2, 5), F(0), -1)
     # numerals past the interpreter's int-string limit
     with pytest.raises(DomainError, match="binary digits"):
         mech_lower(F(-1, 2 ** 20000), F(0), 0)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -71,7 +72,7 @@ def test_equal_seqs_hash_equal():
 # One instance of each value class, with a field value its __init__ refuses.
 VALUES = [
     (Seq("1", "010"), "per", ""),
-    (is_central("010"), "p", 3),
+    (is_central("010"), "directive", "10"),
     (ContinuedFraction((2, 1, 2)), "digits", (0, 2)),
     (phi_sturmian(Seq("", "01")), "directive", Seq("", "0")),
     (SweepConfig(6), "max_period", 17),
@@ -137,6 +138,13 @@ def test_shift_rotates_pure_period():
 
 def test_shift_drops_preperiod():
     assert Seq("0", "10").shift(1) == Seq("", "10")
+
+
+def test_shift_and_prepend_refuse_bad_arguments():
+    with pytest.raises(DomainError):
+        Seq("0", "10").shift(-1)
+    with pytest.raises(DomainError):
+        Seq("0", "10").prepend("2")
 
 
 def test_shift_by_full_period_is_identity():
@@ -577,6 +585,22 @@ def test_parse_rejects_bad_character_with_position():
 def test_parse_rejects_empty_period():
     with pytest.raises(ParseError):
         parse_seq("01()")
+
+
+@pytest.mark.parametrize("text,position,message", [
+    ("01a01", 2, "invalid character 'a'"),
+    ("0(1a)", 3, "invalid character 'a'"),
+    ("0(1(0))", 3, "invalid character '('"),
+    ("01()", 3, "invalid character ')'"),
+    ("0(10", 4, "ends early"),
+    ("0(1)1", 4, "invalid character '1'"),
+    ("0(1))", 4, "invalid character ')'"),
+])
+def test_parse_seq_names_the_first_bad_position(text, position, message):
+    # the grammar is [01]* ("(" [01]+ ")")?
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse_seq(text)
+    assert err.value.position == position
 
 
 def test_parse_rational():

@@ -96,9 +96,21 @@ def closure_chain(directive: Iterable[str] | None = None, *,
 
 def pal(v: str) -> str:
     """Iterated palindromic closure: pal(wx) = closure(pal(w) + x), built
-    in linear time by ``closure_chain`` (Justin's formula)."""
+    in linear time by ``closure_chain`` (Justin's formula).
+
+    |pal(v)| can grow exponentially in |v|, so an output longer than
+    ``EXPANSION_BUDGET`` is refused with DomainError, once the first piece
+    past the budget is built.
+    """
     check_word(v)
-    return "".join(piece for piece, _ in closure_chain(v))
+    pieces, n = [], 0
+    for piece, _ in closure_chain(v):
+        n += len(piece)
+        if n > EXPANSION_BUDGET:
+            raise DomainError(f"pal of a {len(v)}-letter word exceeds the "
+                              f"budget of {EXPANSION_BUDGET} letters")
+        pieces.append(piece)
+    return "".join(pieces)
 
 
 def _central_periods(w: str) -> tuple[int, int] | None:
@@ -263,8 +275,9 @@ def central_from_slope(p: int, q: int) -> CentralCertificate:
     if q > EXPANSION_BUDGET:
         raise DomainError(f"slope denominator {numeral(q)} exceeds the "
                           f"budget of {EXPANSION_BUDGET} letters")
-    # (a) floor-difference digits of slope p/q, intercept 0
-    digits = "".join(str((n + 1) * p // q - n * p // q) for n in range(q))
+    # (a) floor-difference digits of slope p/q, intercept 0, one byte each
+    digits = bytes(b"01"[(n + 1) * p // q - n * p // q]
+                   for n in range(q)).decode()
     if digits[0] != "0" or digits[-1] != "1":
         raise InvariantError("mechanical period must start 0 and end 1")
     w_mech = digits[1:-1]

@@ -112,13 +112,16 @@ def verify_phi(u: Seq, b: Seq) -> VerifyReport:
 
     Requires 0u <= T^k(b) <= 1u and T^k(b) <= b for every distinct shift,
     plus balance of b, decided on its doubled period (a window of twice
-    the period length sees every factor length that matters).
+    the period length sees every factor length that matters).  The
+    distinct shifts are T^k(b) for k < |pre| + |per| (see ``Seq.shifts``);
+    they are built and checked one at a time, so a passing check holds
+    O(|u| + |pre| + |per|) letters at once, not one copy per shift.
     """
     failures: list[str] = []
     zero_u, one_u = u.prepend("0"), u.prepend("1")
-    shifts = b.shifts()
     checks = 0
-    for t in shifts:
+    for k in range(len(b.pre) + len(b.per)):
+        t = b.shift(k)
         checks += 3
         if not zero_u <= t:
             failures.append(f"shift {t} is below the lower bound 0u = {zero_u}")
@@ -134,7 +137,8 @@ def verify_phi(u: Seq, b: Seq) -> VerifyReport:
 
 def sigma_member(s: Seq, lo: Seq, hi: Seq) -> bool:
     """Do all shifts of ``s`` lie in [lo, hi] lexicographically?"""
-    return all(lo <= t <= hi for t in s.shifts())
+    return all(lo <= s.shift(k) <= hi
+               for k in range(len(s.pre) + len(s.per)))
 
 
 def lex_world_member(x: Seq, y: Seq) -> bool:

@@ -48,6 +48,8 @@ def mech_periodic(p: int, q: int, rho: Fraction = Fraction(0),
     terms, so q is always a period; canonicalisation then exposes the
     minimal one.  Writing n alpha + rho = (n a + c) / d, each level
     floor(..) or ceil(..) = -floor(-..) is one integer floor division.
+    Each digit is one byte of a constant ``b"01"``, so the period costs
+    about one byte per digit while it is built.
     """
     if q < 1 or not 0 <= p <= q:
         raise DomainError(
@@ -62,7 +64,8 @@ def mech_periodic(p: int, q: int, rho: Fraction = Fraction(0),
     a, c, d = p * rho.denominator, rho.numerator * q, q * rho.denominator
     sign = -1 if upper else 1
     levels = (sign * (sign * (n * a + c) // d) for n in range(q + 1))
-    return Seq("", "".join(str(hi - lo) for lo, hi in pairwise(levels)))
+    digits = bytes(b"01"[hi - lo] for lo, hi in pairwise(levels))
+    return Seq("", digits.decode())
 
 
 def characteristic_pair(p: int, q: int) -> tuple[Seq, Seq]:

@@ -160,9 +160,14 @@ class Seq(Value):
         return Seq(letter + self.pre, self.per)
 
     def shifts(self) -> list["Seq"]:
-        """All distinct shifted sequences, in order of first appearance."""
-        return list(dict.fromkeys(self.shift(k) for k in
-                                  range(len(self.pre) + len(self.per))))
+        """All distinct shifted sequences, in order of first appearance.
+
+        These are the first |pre| + |per| shifts, and they are pairwise
+        distinct: those inside the preperiod have canonical preperiods of
+        different lengths, and the others are the rotations of a primitive
+        period.
+        """
+        return [self.shift(k) for k in range(len(self.pre) + len(self.per))]
 
     @property
     def purely_periodic(self) -> bool:

@@ -83,6 +83,15 @@ def test_pal_examples(v, expected):
     assert pal(v) == expected
 
 
+def test_pal_refuses_an_output_past_the_budget():
+    # |pal((01)^15)| = 3,524,576 <= 2**22 < |pal((01)^15 0)| = 5,702,885
+    v = "01" * 15
+    assert len(pal(v)) == 3524576 <= EXPANSION_BUDGET
+    for longer in (v + "0", "01" * 20):
+        with pytest.raises(DomainError, match="budget"):
+            pal(longer)
+
+
 def test_pal_prefix_monotone():
     # Every closure_chain step equals one palindromic_closure step, on all
     # 8,191 directives of <= 12 letters, so pal(v[:k]) is a prefix of pal(v).

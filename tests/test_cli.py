@@ -113,8 +113,9 @@ PAST_BUDGET = str((1 << 22) + 1)  # one past EXPANSION_BUDGET
     ["phi", "--directive", "(01)", "-n", PAST_BUDGET],
     ["mech", "--alpha", f"1/{PAST_BUDGET}", "-n", "5"],
     ["central-make", f"1/{PAST_BUDGET}"],
+    ["pal", "01" * 20],
 ], ids=["mech-n", "sturmian-prefix-n", "phi-directive-n", "mech-alpha",
-        "central-make"])
+        "central-make", "pal"])
 def test_words_past_the_budget_are_refused_quickly(argv):
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "lexworld", *argv],
@@ -122,6 +123,31 @@ def test_words_past_the_budget_are_refused_quickly(argv):
     assert time.perf_counter() - t0 < 1
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "budget" in proc.stderr
+
+
+# Spawns argv, reads its peak RSS with os.wait4 and prints it in bytes
+# (ru_maxrss counts KB on Linux, bytes on macOS).  The kernel carries the
+# high-water RSS of the image a process replaces into its own, so the
+# child starts from this small process, not from the test process.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+scale = 1 if sys.platform == "darwin" else 1024
+print(proc.returncode, usage.ru_maxrss * scale)
+"""
+
+
+def test_mech_on_a_long_period_keeps_only_the_word():
+    # the 2**20-digit period is built one byte per digit
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "lexworld",
+         "mech", "--alpha", "1/1048576", "-n", "5"],
+        capture_output=True, text=True, timeout=60)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak < 40 << 20, peak
 
 
 def test_sturmian_prefix(capsys):

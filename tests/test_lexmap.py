@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -175,6 +176,43 @@ def test_verify_phi_reports_each_failure(u, b, failure):
     report = verify_phi(u, b)
     assert not report.passed
     assert any(failure in f for f in report.failures), report.failures
+
+
+def test_verify_phi_checks_every_shift_in_order():
+    # the same checks, failures and order as a pass over the list of shifts
+    seqs = list(all_canonical_seqs(2, 3))
+    for u in seqs[::3]:
+        for b in seqs:
+            zero_u, one_u = u.prepend("0"), u.prepend("1")
+            failures = []
+            for t in b.shifts():
+                if not zero_u <= t:
+                    failures.append(f"shift {t} is below the lower bound 0u = {zero_u}")
+                if not t <= one_u:
+                    failures.append(f"shift {t} is above the upper bound 1u = {one_u}")
+                if not t <= b:
+                    failures.append(f"shift {t} exceeds the sequence itself")
+            report = verify_phi(u, b)
+            assert report.checks == 3 * len(b.shifts()) + 1
+            assert report.failures[:len(failures)] == tuple(failures)
+            assert len(report.failures) - len(failures) in (0, 1)  # balance
+
+
+def test_verify_phi_memory_is_linear_in_the_period():
+    # the q shifts of (1w0)^oo are checked one at a time, so the peak is
+    # linear in q
+    p, q = 191, 500
+    w = central_from_slope(p, q).word
+    u, b = Seq("", w + "10"), Seq("", "1" + w + "0")
+    assert verify_phi(u, b).passed  # warm-up
+    tracemalloc.start()
+    try:
+        report = verify_phi(u, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checks == 3 * q + 1
+    assert peak < 128 * q, peak
 
 
 def test_sigma_member_examples():

@@ -558,7 +558,7 @@ def test_distinct_shifts_primitive_period_five():
 @given(seqs)
 def test_distinct_shifts_cover_all_iterates(s):
     shifts = set(s.shifts())
-    assert len(shifts) <= len(s.pre) + len(s.per)
+    assert len(shifts) == len(s.shifts()) == len(s.pre) + len(s.per)
     for k in range(25):
         assert s.shift(k) in shifts
 

@@ -76,21 +76,20 @@ def closure_chain(directive: Iterable[str] | None = None, *,
     walk = directive is None
     letters = iter(() if walk else directive)
     w = prefixes_of if walk else ""  # the walked word, or pal(v) so far
-    ends: list[int] = [0]  # ends[k] = len(pal(v[:k]))
-    last: dict[str, int] = {}  # letter -> index of its last occurrence in v
-    while not walk or ends[-1] < len(w):
-        n = ends[-1]
+    n = 0  # len(pal(v))
+    start: dict[str, int] = {}  # x -> len(pal(v')), v' = v before its last x
+    while not walk or n < len(w):
         x = w[n] if walk else next(letters, None)
         if x is None:
             return
-        k = last.get(x)
-        piece = x + w[:n] if k is None else w[ends[k]:n]
+        k = start.get(x)
+        piece = x + w[:n] if k is None else w[k:n]
         if walk and not w.startswith(piece, n):
             return
         if not walk:
             w += piece
-        last[x] = len(ends) - 1
-        ends.append(n + len(piece))
+        start[x] = n
+        n += len(piece)
         yield piece, x
 
 
@@ -137,9 +136,10 @@ class CentralCertificate(Value):
     (mod q), and word = w1 01 w2 = w2 10 w1 with |w1| = ell1 - 2 and
     |w2| = ell2 - 2 when both letters occur (else w1 = w2 = None).  The
     constructor checks what these formulas leave open: binary words,
-    gcd(p, q) = 1, (ell1, ell2) being the coprime period pair, which holds
-    the minimal period, pal(directive) == word, and the factorisation.
-    Instances are immutable.
+    gcd(p, q) = 1, ell1 and ell2 being periods of the word (with
+    gcd(ell1, ell2) = gcd(ell2, q) = 1 and ell1 + ell2 = len(word) + 2,
+    this is the definition of central), pal(directive) == word, and the
+    factorisation.  Instances are immutable.
     """
 
     __slots__ = ("word", "directive")
@@ -151,7 +151,7 @@ class CentralCertificate(Value):
         ok = (isinstance(word, str) and isinstance(directive, str)
               and not (word + directive).strip("01")
               and gcd(self.p, self.q) == 1
-              and _central_periods(word) == tuple(sorted((self.ell1, self.ell2)))
+              and is_period(word, self.ell1) and is_period(word, self.ell2)
               and pal(directive) == word)
         if ok and self.w1 is not None:
             ok = word == self.w1 + "01" + self.w2 == self.w2 + "10" + self.w1
@@ -294,42 +294,21 @@ def central_from_slope(p: int, q: int) -> CentralCertificate:
 
 
 def _word_from_periods(p: int, q: int) -> str:
-    # Positions forced equal modulo each period collapse into at most two
-    # classes; the class of size p - 1 carries the ones.
-    n = q - 2
-    if n == 0:
-        return ""
-    m = pow(p, -1, q)
-    ell = q - m
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for step in (ell, m):
-        for i in range(n - step):
-            a, b = find(i), find(i + step)
-            if a != b:
-                parent[a] = b
-    classes: dict[int, list[int]] = {}
-    for i in range(n):
-        classes.setdefault(find(i), []).append(i)
-    if len(classes) == 1:
-        if p == 1:
-            return "0" * n
-        if p == q - 1:
-            return "1" * n
-        raise InvariantError(f"slope {p}/{q}: single class but nonconstant word")
-    if len(classes) != 2:
-        raise InvariantError(f"slope {p}/{q}: {len(classes)} congruence classes")
-    sizes = {root: len(members) for root, members in classes.items()}
-    ones_root = [r for r, s in sizes.items() if s == p - 1]
-    if len(ones_root) != 1:
-        raise InvariantError(f"slope {p}/{q}: ambiguous ones class")
-    letters = ["0"] * n
-    for i in classes[ones_root[0]]:
-        letters[i] = "1"
-    return "".join(letters)
+    # The periods ell and m = q - ell force w[i] = w[j] for i, j < q - 2
+    # with j = i + ell or j = i + ell - q: neighbours on the cycle
+    # i -> (i + ell) mod q, which visits every residue as gcd(ell, q) = 1.
+    # Its two ends q - 2 and q - 1 cut it into two arcs, the two letter
+    # classes; since ell*p = -1 (mod q), the arc from q - 1 to q - 2 holds
+    # p - 1 positions, the ones.
+    ell = q - pow(p, -1, q)
+    word = bytearray(b"0") * (q - 2)
+    i, ones = (q - 1 + ell) % q, 0
+    while i != q - 2:
+        if i == q - 1:
+            raise InvariantError(f"slope {p}/{q}: the period cycle misses q - 2")
+        word[i] = ord("1")
+        ones += 1
+        i = (i + ell) % q
+    if ones != p - 1:
+        raise InvariantError(f"slope {p}/{q}: the ones arc has {ones} positions")
+    return word.decode()

@@ -66,7 +66,7 @@ def minimal_period(w: str) -> int:
 def is_period(w: str, ell: int) -> bool:
     if ell < 1:
         raise DomainError("periods are positive")
-    return all(w[i] == w[i + ell] for i in range(len(w) - ell))
+    return ell >= len(w) or w[ell:] == w[:-ell]
 
 
 def primitive_root(w: str) -> str:

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import product
 from math import gcd
 
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lexworld.central import (CentralCertificate, _central_periods,
-                              central_from_slope,
+                              _word_from_periods, central_from_slope,
                               closure_chain, directive_of_central,
                               extremal_rotations, is_balanced, is_central,
                               pal, pal_extension, palindromic_closure,
@@ -263,6 +264,22 @@ def test_certificate_fields_hold_by_construction_up_to_fourteen():
     assert sorted(found) == sorted(enumerate_central(14))
 
 
+def test_two_period_check_is_the_minimal_period_check_up_to_fourteen():
+    # With gcd(p, q) = 1 the certificate asks that both read-off periods
+    # hold; on every word of <= 14 letters that is exactly the recognition
+    # by the minimal period and its complement.
+    for n in range(15):
+        for bits in product("01", repeat=n):
+            w = "".join(bits)
+            p, q = w.count("1") + 1, n + 2
+            if gcd(p, q) != 1:
+                continue
+            ell2 = pow(p, -1, q)
+            pair = tuple(sorted((q - ell2, ell2)))
+            assert (is_period(w, q - ell2) and is_period(w, ell2)) == (
+                _central_periods(w) == pair), w
+
+
 def test_certificate_is_immutable():
     cert = is_central("010")
     with pytest.raises(AttributeError):
@@ -360,6 +377,70 @@ def test_three_routes_agree_on_every_slope_up_to_150_and_seeded():
         assert cert.word == floor_word(p, q), (p, q)
         assert (cert.p, cert.q) == (p, q)
         assert_read_off_fields_hold(cert)
+
+
+def reference_word_from_periods(p, q):
+    """The central word of slope p/q by merging, in a union-find, the
+    positions its two periods force equal: the library's original route
+    (c), kept as the reference for the cycle walk."""
+    n = q - 2
+    if n == 0:
+        return ""
+    m = pow(p, -1, q)
+    ell = q - m
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for step in (ell, m):
+        for i in range(n - step):
+            a, b = find(i), find(i + step)
+            if a != b:
+                parent[a] = b
+    classes = {}
+    for i in range(n):
+        classes.setdefault(find(i), []).append(i)
+    if len(classes) == 1:
+        assert p in (1, q - 1)
+        return "0" * n if p == 1 else "1" * n
+    assert len(classes) == 2
+    ones = [members for members in classes.values() if len(members) == p - 1]
+    assert len(ones) == 1
+    letters = ["0"] * n
+    for i in ones[0]:
+        letters[i] = "1"
+    return "".join(letters)
+
+
+def test_cycle_walk_matches_union_find_on_every_slope_up_to_150_and_seeded():
+    slopes = [(p, q) for q in range(2, 151) for p in range(1, q)
+              if gcd(p, q) == 1]
+    assert len(slopes) == 6857
+    for p, q in slopes + seeded_slopes():
+        assert _word_from_periods(p, q) == reference_word_from_periods(p, q), \
+            (p, q)
+
+
+@pytest.mark.parametrize("build,limit_mb", [
+    (lambda: central_from_slope(1, 2 ** 20), 24),
+    (lambda: is_central("0" * 2 ** 20), 30),
+    (lambda: pal("0" * 2 ** 20), 20),
+], ids=["central_from_slope", "is_central", "pal"])
+def test_million_letter_central_words_take_linear_memory(build, limit_mb):
+    # The period walk keeps one byte per letter, the certificate compares
+    # slices, and the closure chain keeps O(1) state beyond its word: a
+    # list of ints per step or per letter would pass the limit.
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb << 20, peak
 
 
 def test_slope_recovery_round_trip():

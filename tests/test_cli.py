@@ -150,6 +150,19 @@ def test_mech_on_a_long_period_keeps_only_the_word():
     assert peak < 40 << 20, peak
 
 
+def test_central_make_on_a_long_period_keeps_only_the_words():
+    # route (c) walks the period cycle in one bytearray and the
+    # certificate compares slices, so the 2**20-letter word costs a few
+    # copies of itself, not an int or a list slot per letter
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "lexworld",
+         "central-make", "1/1048576"],
+        capture_output=True, text=True, timeout=60)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak < 50 << 20, peak
+
+
 def test_sturmian_prefix(capsys):
     _, out, _ = invoke(capsys, "sturmian-prefix", "--directive", "(01)",
                        "-n", "28")

@@ -18,8 +18,8 @@ from lexworld.lexmap import phi_prefix, phi_sturmian, phi_zero_u
 from lexworld.oracle import SweepConfig
 from lexworld.words import (EQ, EXPANSION_BUDGET, GT, LT, ONE, ZERO, Seq,
                             _order_of_two, check_word, expansion,
-                            minimal_period, parse_seq, parse_rational,
-                            primitive_root)
+                            is_period, minimal_period, parse_seq,
+                            parse_rational, primitive_root)
 
 words = st.text(alphabet="01", max_size=6)
 periods = st.text(alphabet="01", min_size=1, max_size=6)
@@ -495,6 +495,19 @@ def test_minimal_period_rejects_empty():
 @given(st.text(alphabet="01", min_size=1, max_size=12))
 def test_minimal_period_matches_naive_scan(w):
     assert minimal_period(w) == naive_minimal_period(w)
+
+
+def test_is_period_matches_its_definition_up_to_ten():
+    # one slice comparison, checked against the letterwise definition for
+    # every ell up to len(w) + 2, where every ell >= len(w) is a period
+    for n in range(11):
+        for bits in product("01", repeat=n):
+            w = "".join(bits)
+            for ell in range(1, n + 3):
+                assert is_period(w, ell) == all(
+                    w[i] == w[i + ell] for i in range(n - ell)), (w, ell)
+    with pytest.raises(DomainError, match="positive"):
+        is_period("010", 0)
 
 
 def test_primitive_root_matches_minimal_period_definition():

@@ -102,14 +102,13 @@ def pal(v: str) -> str:
     past the budget is built.
     """
     check_word(v)
-    pieces, n = [], 0
+    word = ""
     for piece, _ in closure_chain(v):
-        n += len(piece)
-        if n > EXPANSION_BUDGET:
+        if len(word) + len(piece) > EXPANSION_BUDGET:
             raise DomainError(f"pal of a {len(v)}-letter word exceeds the "
                               f"budget of {EXPANSION_BUDGET} letters")
-        pieces.append(piece)
-    return "".join(pieces)
+        word += piece
+    return word
 
 
 def _central_periods(w: str) -> tuple[int, int] | None:
@@ -175,13 +174,13 @@ def is_central(w: str) -> CentralCertificate | None:
     letters are the directive, and the certificate checks the rest.
     """
     check_word(w)
-    n, directive = 0, []
+    n, directive = 0, ""
     for piece, x in closure_chain(prefixes_of=w):
         n += len(piece)
-        directive.append(x)
+        directive += x
     if n != len(w):
         return None
-    return CentralCertificate(w, "".join(directive))
+    return CentralCertificate(w, directive)
 
 
 def directive_of_central(w: str) -> str:

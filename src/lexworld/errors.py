@@ -34,9 +34,9 @@ class Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        # (*fields, class), read in one C call: Seq is hashed once per
-        # shift in verify_phi.  attrgetter returns a bare value for a
-        # single name, so the class also keeps the result a tuple.
+        # (*fields, class), read in one C call.  attrgetter returns a bare
+        # value for a single name, so the class also keeps the result a
+        # tuple.
         cls._key = property(attrgetter(*cls.__slots__, "__class__"))
 
     def _read_only(self, name: str, *value) -> None:

@@ -22,8 +22,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .central import (CentralCertificate, closure_chain, is_balanced,
-                      is_central, _central_periods)
+from .central import (CentralCertificate, closure_chain,
+                      extremal_rotations, is_balanced, is_central,
+                      _central_periods)
 from .errors import DomainError, InvariantError, Value
 from .mechanical import characteristic_sturmian_prefix, is_sturmian_directive
 from .words import EQ, GT, LT, ONE, ZERO, Seq, check_word, expansion, numeral
@@ -107,28 +108,43 @@ class VerifyReport(namedtuple("VerifyReport", "passed checks failures",
     __slots__ = ()
 
 
+def _shift_extremes(s: Seq):
+    """Pairs (least, greatest) that bound every shift T^k(s) between them:
+    (t, t) for each preperiod shift t, then the least and greatest rotation
+    of the period (``extremal_rotations``, Booth's algorithm).  The shifts
+    from |pre| on are the r^oo for the rotations r of the period, and as all
+    r have length |per|, r^oo orders as r does.
+    """
+    for k in range(len(s.pre)):
+        t = s.shift(k)
+        yield t, t
+    least, greatest = extremal_rotations(s.per)
+    yield Seq("", least), Seq("", greatest)
+
+
 def verify_phi(u: Seq, b: Seq) -> VerifyReport:
     """Check the defining inequalities of b = phi(0u) over b's shift set.
 
-    Requires 0u <= T^k(b) <= 1u and T^k(b) <= b for every distinct shift,
-    plus balance of b, decided on its doubled period (a window of twice
-    the period length sees every factor length that matters).  The
-    distinct shifts are T^k(b) for k < |pre| + |per| (see ``Seq.shifts``);
-    they are built and checked one at a time, so a passing check holds
-    O(|u| + |pre| + |per|) letters at once, not one copy per shift.
+    Requires 0u <= T^k(b) <= 1u and T^k(b) <= b for every shift, plus
+    balance of b, decided on its doubled period (a window of twice the
+    period length sees every factor length that matters).  Three checks
+    per preperiod shift and three for the period (its least rotation
+    against 0u, its greatest against 1u and b; see ``_shift_extremes``)
+    decide every shift inequality exactly, so a call makes 3|pre| + 4
+    checks and holds O(|u| + |pre| + |per|) letters.  A failure names the
+    shift that fails, for the period an extremal rotation.
     """
     failures: list[str] = []
     zero_u, one_u = u.prepend("0"), u.prepend("1")
     checks = 0
-    for k in range(len(b.pre) + len(b.per)):
-        t = b.shift(k)
+    for least, greatest in _shift_extremes(b):
         checks += 3
-        if not zero_u <= t:
-            failures.append(f"shift {t} is below the lower bound 0u = {zero_u}")
-        if not t <= one_u:
-            failures.append(f"shift {t} is above the upper bound 1u = {one_u}")
-        if not t <= b:
-            failures.append(f"shift {t} exceeds the sequence itself")
+        if not zero_u <= least:
+            failures.append(f"shift {least} is below the lower bound 0u = {zero_u}")
+        if not greatest <= one_u:
+            failures.append(f"shift {greatest} is above the upper bound 1u = {one_u}")
+        if not greatest <= b:
+            failures.append(f"shift {greatest} exceeds the sequence itself")
     checks += 1
     if not is_balanced(b.pre + b.per * 2):
         failures.append("sequence is not balanced on its doubled period")
@@ -137,8 +153,8 @@ def verify_phi(u: Seq, b: Seq) -> VerifyReport:
 
 def sigma_member(s: Seq, lo: Seq, hi: Seq) -> bool:
     """Do all shifts of ``s`` lie in [lo, hi] lexicographically?"""
-    return all(lo <= s.shift(k) <= hi
-               for k in range(len(s.pre) + len(s.per)))
+    return all(lo <= least and greatest <= hi
+               for least, greatest in _shift_extremes(s))
 
 
 def lex_world_member(x: Seq, y: Seq) -> bool:

@@ -79,6 +79,27 @@ def brute_F(x: Fraction, cfg: SweepConfig = SweepConfig()) -> Fraction:
     return _min_top(expansion(x), cfg.max_period).value()
 
 
+def brute_verify_phi(u: Seq, b: Seq) -> VerifyReport:
+    """``lexmap.verify_phi`` shift by shift, its reference: the three
+    bounds on each of the |pre| + |per| distinct shifts of b, in order,
+    then balance, in a VerifyReport of 3(|pre| + |per|) + 1 checks with
+    one failure line per failed check."""
+    from .lexmap import VerifyReport  # `lexworld oracle phi` skips lexmap
+    failures: list[str] = []
+    zero_u, one_u = u.prepend("0"), u.prepend("1")
+    for t in b.shifts():
+        if not zero_u <= t:
+            failures.append(f"shift {t} is below the lower bound 0u = {zero_u}")
+        if not t <= one_u:
+            failures.append(f"shift {t} is above the upper bound 1u = {one_u}")
+        if not t <= b:
+            failures.append(f"shift {t} exceeds the sequence itself")
+    if not is_balanced(b.pre + b.per * 2):
+        failures.append("sequence is not balanced on its doubled period")
+    checks = 3 * (len(b.pre) + len(b.per)) + 1
+    return VerifyReport(not failures, checks, tuple(failures))
+
+
 def enumerate_central(max_len: int) -> list[str]:
     """All central words up to ``max_len``, by the balance definition:
     w is kept iff 0w1 and 1w0 are both balanced."""

@@ -425,22 +425,25 @@ def test_cycle_walk_matches_union_find_on_every_slope_up_to_150_and_seeded():
             (p, q)
 
 
-@pytest.mark.parametrize("build,limit_mb", [
-    (lambda: central_from_slope(1, 2 ** 20), 24),
-    (lambda: is_central("0" * 2 ** 20), 30),
-    (lambda: pal("0" * 2 ** 20), 20),
+@pytest.mark.parametrize("build,limit", [
+    (lambda n: central_from_slope(1, n), 8),
+    (lambda n: is_central("0" * n), 6),
+    (lambda n: pal("0" * n), 5),
 ], ids=["central_from_slope", "is_central", "pal"])
-def test_million_letter_central_words_take_linear_memory(build, limit_mb):
-    # The period walk keeps one byte per letter, the certificate compares
-    # slices, and the closure chain keeps O(1) state beyond its word: a
-    # list of ints per step or per letter would pass the limit.
+def test_central_words_take_a_few_bytes_per_letter(build, limit):
+    # Bytes per letter of a 2**16-letter word.  The period walk keeps one
+    # byte per letter, the certificate compares slices, and the closure
+    # chain and its callers build strings with O(1) state beside them: a
+    # list of ints per letter (a union-find, a border table) or of one slot
+    # per closure step costs 8 to 40 bytes per letter.
+    n = 2 ** 16
     tracemalloc.start()
     try:
-        build()
+        build(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < limit_mb << 20, peak
+    assert peak < limit * n, peak / n
 
 
 def test_slope_recovery_round_trip():

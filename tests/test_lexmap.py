@@ -6,6 +6,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lexworld.central import (central_from_slope, is_central,
                               palindromic_closure)
@@ -16,6 +18,7 @@ from lexworld.lexmap import (Case, F, FResult, SturmianPhi, classify,
                              KIND_ALL_ZERO, KIND_CPB, KIND_GENERIC,
                              _case, _longest_central_prefix)
 from lexworld.mechanical import mech_periodic
+from lexworld.oracle import brute_verify_phi
 from lexworld.words import LT, EQ, ONE, ZERO, Seq, expansion
 
 Fr = Fraction
@@ -178,28 +181,100 @@ def test_verify_phi_reports_each_failure(u, b, failure):
     assert any(failure in f for f in report.failures), report.failures
 
 
+def assert_matches_reference(u, b):
+    # verify_phi and sigma_member decide what the per-shift reference
+    # decides; verify_phi makes 3|pre| + 4 checks and reports a subset of
+    # the reference's failure lines
+    report, ref = verify_phi(u, b), brute_verify_phi(u, b)
+    assert report.passed == ref.passed, (u, b)
+    assert report.checks == 3 * len(b.pre) + 4
+    assert set(report.failures) <= set(ref.failures), (u, b)
+    assert bool(report.failures) == bool(ref.failures)
+    zero_u, one_u = u.prepend("0"), u.prepend("1")
+    assert sigma_member(b, zero_u, one_u) == (
+        not any("bound" in f for f in ref.failures)), (u, b)
+    assert sigma_member(b, zero_u, b) == (
+        not any("below" in f or "exceeds" in f for f in ref.failures)), (u, b)
+
+
 def test_verify_phi_checks_every_shift_in_order():
-    # the same checks, failures and order as a pass over the list of shifts
     seqs = list(all_canonical_seqs(2, 3))
-    for u in seqs[::3]:
+    for u in seqs:
         for b in seqs:
-            zero_u, one_u = u.prepend("0"), u.prepend("1")
-            failures = []
-            for t in b.shifts():
-                if not zero_u <= t:
-                    failures.append(f"shift {t} is below the lower bound 0u = {zero_u}")
-                if not t <= one_u:
-                    failures.append(f"shift {t} is above the upper bound 1u = {one_u}")
-                if not t <= b:
-                    failures.append(f"shift {t} exceeds the sequence itself")
-            report = verify_phi(u, b)
-            assert report.checks == 3 * len(b.shifts()) + 1
-            assert report.failures[:len(failures)] == tuple(failures)
-            assert len(report.failures) - len(failures) in (0, 1)  # balance
+            assert_matches_reference(u, b)
+
+
+def test_reference_verifier_checks_every_shift_in_order():
+    # the reference reports each failing shift in order; verify_phi names
+    # the period's greatest rotation (110) for all three rotations
+    u, b = ZERO, Seq("0", "011")
+    ref, report = brute_verify_phi(u, b), verify_phi(u, b)
+    assert ref.checks == 3 * len(b.shifts()) + 1 == 13
+    assert ref.failures == (
+        "shift (011) exceeds the sequence itself",
+        "shift (110) is above the upper bound 1u = 1(0)",
+        "shift (110) exceeds the sequence itself",
+        "shift (101) is above the upper bound 1u = 1(0)",
+        "shift (101) exceeds the sequence itself",
+        "sequence is not balanced on its doubled period")
+    assert report.checks == 7
+    assert report.failures == ref.failures[1:3] + ref.failures[-1:]
+
+
+def floor_central_word(p, q):
+    return "".join(str((n + 1) * p // q - n * p // q) for n in range(1, q - 1))
+
+
+def known_answer(rng, q):
+    # u strictly between (w01)^oo and (w10)^oo: a prefix of one of them past
+    # one period, one letter flipped towards the other, a random tail and
+    # period; or one of the two ends itself.  Then phi(0u) = (1w0)^oo.
+    p = rng.choice([p for p in range(1, q) if gcd(p, q) == 1])
+    w = floor_central_word(p, q)
+    low = rng.random() < 0.5
+    base = w + ("01" if low else "10")
+    if rng.random() < 0.2:
+        return p, w, Seq("", base)
+    flip = rng.randint(q, q + q // 4 + 2)
+    while base[flip % q] != ("0" if low else "1"):
+        flip += 1
+    pre = ((base * (flip // q + 1))[:flip] + ("1" if low else "0")
+           + "".join(rng.choice("01") for _ in range(rng.randint(0, 8))))
+    per = "".join(rng.choice("01") for _ in range(rng.randint(1, 8)))
+    return p, w, Seq(pre, per)
+
+
+def test_verify_phi_matches_reference_on_known_answers_and_mutations():
+    # each known answer (1w0)^oo, then three non-answers: one period letter
+    # flipped, the answer of a neighbouring slope, and (w10)^oo
+    rng = random.Random(1300)
+    failed = 0
+    for q in [3, 4, 5, 7, 12, 30, 31, 100, 101, 317, 1000]:
+        p, w, u = known_answer(rng, q)
+        b = Seq("", "1" + w + "0")
+        assert phi_zero_u(u).phi == b
+        i = rng.randrange(q)
+        flipped = Seq("", b.per[:i] + "10"[int(b.per[i])] + b.per[i + 1:])
+        q2 = pow(p, -1, q)  # a Farey parent p2/q2 of p/q, left if p2 > 0
+        p2 = (p * q2 - 1) // q
+        if p2 == 0:
+            q2 = q - q2
+            p2 = (p * q2 + 1) // q
+        neighbour = Seq("", "1" + central_from_slope(p2, q2).word + "0")
+        for c in (b, flipped, neighbour, Seq("", w + "10")):
+            assert_matches_reference(u, c)
+            failed += not verify_phi(u, c).passed
+    assert failed >= 2 * 11  # most non-answers break a bound or balance
+
+
+@given(st.text("01", max_size=12), st.text("01", min_size=1, max_size=12),
+       st.text("01", max_size=12), st.text("01", min_size=1, max_size=12))
+def test_verify_phi_matches_reference_on_drawn_pairs(u_pre, u_per, b_pre, b_per):
+    assert_matches_reference(Seq(u_pre, u_per), Seq(b_pre, b_per))
 
 
 def test_verify_phi_memory_is_linear_in_the_period():
-    # the q shifts of (1w0)^oo are checked one at a time, so the peak is
+    # the period is read through its two extremal rotations, so the peak is
     # linear in q
     p, q = 191, 500
     w = central_from_slope(p, q).word
@@ -211,7 +286,24 @@ def test_verify_phi_memory_is_linear_in_the_period():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed and report.checks == 3 * q + 1
+    assert report.passed and report.checks == 4
+    assert peak < 128 * q, peak
+
+
+def test_verify_phi_failures_take_linear_memory():
+    # a wrong answer reports at most 3|pre| + 4 failures, each of O(q)
+    # letters, not one per failing shift
+    p, q = 249, 500
+    w = central_from_slope(p, q).word
+    u, b = Seq("", w + "10"), Seq("", "0" + w + "1")
+    assert not verify_phi(u, b).passed  # warm-up
+    tracemalloc.start()
+    try:
+        report = verify_phi(u, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.passed and 0 < len(report.failures) <= 4
     assert peak < 128 * q, peak
 
 

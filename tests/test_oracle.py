@@ -29,8 +29,8 @@ PUBLIC = {
     "mechanical": "characteristic_pair characteristic_periodic_via_pal "
                   "characteristic_sturmian_prefix mech_lower mech_periodic "
                   "mech_upper",
-    "oracle": "SweepConfig brute_F brute_phi enumerate_central naive_balance "
-              "sandwich_census",
+    "oracle": "SweepConfig brute_F brute_phi brute_verify_phi "
+              "enumerate_central naive_balance sandwich_census",
     "words": "EQ GT LT ONE ZERO Seq check_word expansion minimal_period "
              "parse_rational parse_seq",
 }

@@ -203,35 +203,35 @@ _COMPLEMENT = str.maketrans("01", "10")
 
 
 def _least_rotation(w: str) -> int:
-    """Start of the least rotation of ``w``, by Booth's algorithm (Booth
-    1980): a KMP failure function over ``w + w`` whose candidate start
-    ``k`` moves right on every mismatch that finds a smaller letter, so
-    the scan is linear in len(w)."""
-    d = w + w
-    fail = [-1] * len(d)
-    k = 0
-    for j in range(1, len(d)):
-        c = d[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != d[k + i + 1]:
-            if c < d[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != d[k + i + 1]:  # here i == -1
-            if c < d[k]:
-                k = j
-            fail[j - k] = -1
+    """Start of the least rotation of ``w``, by a two-pointer scan.
+
+    The scan keeps two candidate starts i < j, every other start below j
+    ruled out, and the number k of letters on which their rotations agree.
+    At a mismatch, the starts of the side with the larger letter, through k
+    letters on, each give a greater rotation than their partner, so that
+    side jumps past them: i + j grows by k + 1 and stays below 2 len(w),
+    and the scan is linear and keeps no table.  If k reaches len(w), the
+    two rotations are equal and i is least.
+    """
+    n, d = len(w), w + w
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = d[i + k], d[j + k]
+        if a == b:
+            k += 1
+        elif a > b:
+            i, j, k = j, max(j + 1, i + k + 1), 0
         else:
-            fail[j - k] = i + 1
-    return k
+            j, k = j + k + 1, 0
+    return i
 
 
 def extremal_rotations(w: str) -> tuple[str, str]:
     """(least, greatest) circular shift of a nonempty word, in linear time.
 
-    The least rotation comes from Booth's algorithm; exchanging the letters
-    reverses the order, so the greatest rotation starts where the least
-    rotation of the complement does.
+    The least rotation comes from a two-pointer scan; exchanging the
+    letters reverses the order, so the greatest rotation starts where the
+    least rotation of the complement does.
     """
     check_word(w)
     if not w:

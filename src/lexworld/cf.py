@@ -55,11 +55,9 @@ class ContinuedFraction(Value):
         if self.ends_in_one:
             a.pop()
             a[-1] += 1
-        elif a[-1] >= 2:
+        else:  # a[-1] >= 2, as the constructor refuses (1,)
             a[-1] -= 1
             a.append(1)
-        else:  # (1,) excluded by construction
-            raise DomainError("no alternate form")
         return ContinuedFraction(tuple(a))
 
     def directive_blocks(self) -> tuple[int, ...]:

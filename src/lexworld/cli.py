@@ -120,6 +120,9 @@ def _phi(seq, check, directive, n):
     if (seq is None) == (directive is None):
         raise DomainError("phi takes either a sequence or --directive")
     if directive is not None:
+        if check is not None:
+            raise DomainError("--check needs a sequence; the oracle has no "
+                              "--directive mode")
         sym = lexmap.phi_sturmian(parse_seq(directive))
         cf = sym.slope_cf(8)
         return [

@@ -35,8 +35,8 @@ class Case(str, enum.Enum):
 
     "i" and "ii" cover the constant bounds and the all-ones/all-zeros
     longest central prefixes; "iv" the characteristic periodic inputs;
-    "v_a", "v_b", "v_c" the three generic subcases decided by the letters
-    following the longest central prefix.
+    "v_a", "v_b", "v_c" the generic subcases, where the longest central
+    prefix v, or w2 or w1 in v = w1 01 w2 = w2 10 w1, sandwiches u.
     """
 
     I = "i"
@@ -111,9 +111,9 @@ class VerifyReport(namedtuple("VerifyReport", "passed checks failures",
 def _shift_extremes(s: Seq):
     """Pairs (least, greatest) that bound every shift T^k(s) between them:
     (t, t) for each preperiod shift t, then the least and greatest rotation
-    of the period (``extremal_rotations``, Booth's algorithm).  The shifts
-    from |pre| on are the r^oo for the rotations r of the period, and as all
-    r have length |per|, r^oo orders as r does.
+    of the period (``extremal_rotations``).  The shifts from |pre| on are
+    the r^oo for the rotations r of the period, and as all r have length
+    |per|, r^oo orders as r does.
     """
     for k in range(len(s.pre)):
         t = s.shift(k)
@@ -170,19 +170,27 @@ def _longest_central_prefix(u: Seq, trace: list[str]) -> str:
     the first failed extension witnesses maximality.  ``closure_chain``
     walks it (Justin's formula) on a window of ``u`` that doubles until the
     walk ends at a v with 2|v| + 1 inside it: no step from v reaches
-    further, so the failed step was decided inside the window.  Only
-    reached for generic ``u``, where the chain is finite.
+    further, so the failed step was decided inside the window.
+
+    Only generic ``u`` reaches here, and its central prefixes are shorter
+    than 2(|pre| + |per|), so a longer one raises InvariantError.  Proof:
+    let v be one, of least period ell <= (|v| + 2)/2.  By Fine and Wilf,
+    v[|pre|:] (periods |per| and ell, length >= |per| + ell - 1) has period
+    gcd(|per|, ell), so |per| divides ell as per is primitive.  Then
+    v[|pre| - 1] = v[|pre| - 1 + ell] = per[-1] forces |pre| = 0 in a
+    canonical u, and ell = |per|: per = v[:ell] is a letter or, by v's
+    standard factorisation w1 01 w2 = w2 10 w1, w1 01 or w2 10, so u is
+    constant or characteristic (case ii or iv of ``classify``).
     """
-    cap = 64 * (len(u.pre) + len(u.per)) + 64
     n = 64
     while True:
         window = u.prefix(n)
         v = window[:sum(len(piece) for piece, _ in
                         closure_chain(prefixes_of=window))]
-        if len(v) > cap:
+        if len(v) >= 2 * (len(u.pre) + len(u.per)):
             raise InvariantError(
-                f"central prefixes of {u} exceed the safety cap {cap}; "
-                "the input should have been classified as characteristic")
+                f"{u} has a central prefix of {len(v)} >= 2(|pre| + |per|) "
+                "letters: it is characteristic, not generic")
         if 2 * len(v) < n:
             trace.append(f"longest central prefix {v!r} "
                          f"(extension by {u.digit(len(v))!r} fails)")
@@ -203,20 +211,27 @@ def _case(v: str, w: str, cert_v: CentralCertificate | None = None) -> Case:
     return case
 
 
+def _ends(w: str, n: int) -> tuple[str, str]:
+    """The first ``n`` letters of (w01)^oo and of (w10)^oo."""
+    reps = n // (len(w) + 2) + 1
+    return ((w + "01") * reps)[:n], ((w + "10") * reps)[:n]
+
+
+def _sandwiching(words, x: str) -> str | None:
+    """The w of ``words`` whose ends (w01)^oo and (w10)^oo, cut to len(x)
+    letters, lie strictly below and above ``x``, or None.  The sandwiching
+    central word is unique, so a second hit raises InvariantError."""
+    hits = [w for w in words for lo, hi in [_ends(w, len(x))] if lo < x < hi]
+    if len(hits) > 1:
+        raise InvariantError(f"two central words sandwich {x!r}: {hits!r}")
+    return hits[0] if hits else None
+
+
 def _answer(u: Seq, case: Case, cert: CentralCertificate | None,
             v: str | None, trace: list[str]) -> PhiResult:
-    """phi(0u) = (1w0)^oo, w = ``cert.word``, once the sandwich (w01)^oo <
-    u < (w10)^oo (closed in case iv, where u is an end) and ``verify_phi``
-    hold.  A constant u, given no certificate, answers itself."""
-    b = u
-    if cert is not None:
-        w = cert.word
-        b = Seq("", "1" + w + "0")
-        lo, hi = Seq("", w + "01"), Seq("", w + "10")
-        if not (lo <= u <= hi if case is Case.IV else lo < u < hi):
-            raise InvariantError(
-                f"u = {u} escapes the sandwich around {w!r} in case {case}")
-        trace.append(f"sandwich around central word {w!r} confirmed")
+    """phi(0u) = (1w0)^oo, w = ``cert.word``, once ``verify_phi`` holds.
+    A constant u, given no certificate, answers itself."""
+    b = u if cert is None else Seq("", "1" + cert.word + "0")
     report = verify_phi(u, b)
     if not report.passed:
         raise InvariantError(
@@ -228,14 +243,14 @@ def _answer(u: Seq, case: Case, cert: CentralCertificate | None,
 def phi_zero_u(u: Seq) -> PhiResult:
     """phi(0u) for an eventually periodic ``u``, with mandatory verification.
 
-    Constants map to themselves; characteristic periodic u of slope p/q
-    map to (1 w 0)^oo for the central word w of that slope.  Otherwise the
-    longest central prefix v decides: an all-ones v gives (v0)^oo, an
-    all-zeros v gives (1v)^oo, and a two-letter v is resolved by the next
-    two letters x, y of u and, when x != y, by comparing the following
-    |v| + 2 letters z against vxy.  The final sandwich
-    (w01)^oo <= u <= (w10)^oo and the shift inequalities are re-checked
-    exactly before returning.
+    Constants map to themselves and characteristic periodic u, an end
+    (w01)^oo or (w10)^oo for a central w, to (1w0)^oo.  Otherwise phi(0u)
+    = (1w0)^oo for the one w with (w01)^oo < u < (w10)^oo among those the
+    longest central prefix v leaves: v[:-1] for v in 0* or 1*, else v, w2
+    and w1 (v = w1 01 w2 = w2 10 w1).  The sandwich is decided on |pre| +
+    |per| + |v| + 2 letters, which is exact: each end has period at most
+    |v| + 2, and by Fine and Wilf (see ``Seq.compare``) sequences agreeing
+    that far are equal.  The shift inequalities are re-checked last.
     """
     trace: list[str] = []
     cls = classify(u)
@@ -245,40 +260,24 @@ def phi_zero_u(u: Seq) -> PhiResult:
         return _answer(u, Case.II, None, None, trace)
 
     if cls.kind == KIND_CPB:
-        cert = is_central(u.per[:-2])
-        if cert is None:
-            raise InvariantError(f"{u.per[:-2]!r} is not central")
+        w = u.per[:-2]
+        cert = is_central(w)
+        if cert is None or u.pre or u.per not in (w + "01", w + "10"):
+            raise InvariantError(f"u = {u} is not (w01)^oo or (w10)^oo "
+                                 f"for a central w = {w!r}")
         trace.append(
             f"characteristic periodic input of slope {cls.p}/{cls.q} "
-            f"({cls.variant}); phi = (1{cert.word}0)^oo")
+            f"({cls.variant}); phi = (1{w}0)^oo")
         return _answer(u, Case.IV, cert, None, trace)
 
     v = _longest_central_prefix(u, trace)
-    if len(set(v)) == 1:
-        w, cert_v = v[:-1], None
-        trace.append(f"one-letter prefix {v[0]}^{len(v)}: w = {v[0]}^{len(w)}")
-    else:
-        cert_v = is_central(v)
-        x, y = u.digit(len(v)), u.digit(len(v) + 1)
-        other = cert_v.w2 if x == "0" else cert_v.w1
-        if x == y:
-            w = other
-            trace.append(f"after {v!r}: xy = {x}{y}, no comparison needed")
-        else:
-            bound = v + x + y
-            z = u.prefix(2 * len(v) + 4)[len(v) + 2:]
-            if z == bound:
-                raise InvariantError(
-                    f"prefix {z!r} equals {bound!r}: contradicts maximality "
-                    f"of the central prefix {v!r}")
-            # xy = 01 keeps v when z > v01; xy = 10 keeps it when z < v10
-            high = z > bound
-            w = v if high == (x == "0") else other
-            trace.append(f"after {v!r}: xy = {x}{y}, z {'>' if high else '<'} v{x}{y}")
-
-    cert = is_central(w)
+    cert_v = is_central(v) if len(set(v)) > 1 else None
+    words = (v, cert_v.w2, cert_v.w1) if cert_v is not None else (v[:-1],)
+    w = _sandwiching(words, u.prefix(len(u.pre) + len(u.per) + len(v) + 2))
+    cert = None if w is None else is_central(w)
     if cert is None:
-        raise InvariantError(f"derived word {w!r} is not central")
+        raise InvariantError(f"no central word of {words!r} sandwiches {u}")
+    trace.append(f"sandwich around central word {w!r} confirmed")
     return _answer(u, _case(v, w, cert_v), cert, v, trace)
 
 
@@ -321,27 +320,17 @@ def phi_prefix(p_word: str) -> PrefixDecision:
     n = len(p_word)
     candidates = [p_word[:k] for k in range(n + 1)
                   if _central_periods(p_word[:k]) is not None]
-    winners: list[str] = []
-    best_reason: str | None = None
-    for w in reversed(candidates):
-        reps = n // (len(w) + 2) + 1
-        lo, hi = ((w + "01") * reps)[:n], ((w + "10") * reps)[:n]
-        if p_word in (lo, hi) and best_reason is None:
-            side = f"({w}01)^oo" if p_word == lo else f"({w}10)^oo"
-            best_reason = (f"comparison against {side} is undecided "
-                           f"within the {n}-letter prefix")
-        elif lo < p_word < hi:
-            winners.append(w)
-    if len(winners) > 1:
-        raise InvariantError(
-            f"two central words witnessed for prefix {p_word!r}: {winners!r}")
-    if not winners:
-        if best_reason is None:
-            best_reason = (f"no central prefix of {p_word!r} is strictly "
-                           "sandwiched within the prefix")
-        return PrefixDecision(False, None, best_reason)
+    w = _sandwiching(candidates, p_word)
+    if w is None:  # name the longest candidate with an end equal to p_word
+        side = next((f"({c}{xy})^oo" for c in reversed(candidates)
+                     for xy, end in zip(("01", "10"), _ends(c, n))
+                     if end == p_word), None)
+        return PrefixDecision(False, None, (
+            f"comparison against {side} is undecided within the {n}-letter "
+            "prefix" if side else f"no central prefix of {p_word!r} is "
+            "strictly sandwiched within the prefix"))
 
-    w, v = winners[0], candidates[-1]
+    v = candidates[-1]
     trace = (f"the {n}-letter prefix lies strictly between those of "
              f"({w}01)^oo and ({w}10)^oo",
              "strict sandwich holds for every extension of the prefix")

@@ -520,8 +520,8 @@ def test_extremal_rotations_rejects_empty():
         extremal_rotations("")
 
 
-def test_extremal_rotations_match_all_rotations_up_to_twelve():
-    for n in range(1, 13):
+def test_extremal_rotations_match_all_rotations_up_to_fourteen():
+    for n in range(1, 15):
         for bits in product("01", repeat=n):
             w = "".join(bits)
             rots = [w[i:] + w[:i] for i in range(n)]

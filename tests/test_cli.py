@@ -28,6 +28,13 @@ def test_phi_golden(capsys):
     assert out == "phi = (110)\ncase = i\ncentral = 1\nverified = true\n"
 
 
+def test_phi_constant_golden(capsys):
+    # a constant bound answers itself, with no central word
+    code, out, _ = invoke(capsys, "phi", "(1)")
+    assert code == 0
+    assert out == "phi = (1)\ncase = ii\ncentral = none\nverified = true\n"
+
+
 def test_f_boundary_golden(capsys):
     code, out, _ = invoke(capsys, "F", "3/4")
     assert code == 0
@@ -219,6 +226,21 @@ def test_phi_requires_exactly_one_input_mode(capsys):
     assert invoke(capsys, "phi", "(01)", "--directive", "(01)")[0] == 1
 
 
+def test_phi_directive_refuses_check(capsys):
+    # the oracle checks eventually periodic answers only, so --check would
+    # go unused with --directive
+    code, out, err = invoke(capsys, "phi", "--directive", "(01)", "--check", "8")
+    assert (code, out) == (1, "")
+    assert "--check" in err
+
+
+@pytest.mark.parametrize("command", ["phi", "sturmian-prefix"])
+def test_directive_prefix_length_must_be_positive(capsys, command):
+    code, out, err = invoke(capsys, command, "--directive", "(01)", "-n", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: prefix length must be positive\n"
+
+
 def test_verify_command(capsys):
     code, out, _ = invoke(capsys, "verify", "(1100)", "(110)")
     assert code == 0 and out == "verified = true\n"
@@ -252,6 +274,12 @@ def test_rational_outside_grammar_refused_with_position(capsys, text, position):
     assert code == 1
     assert out == ""
     assert f"position {position}" in err
+
+
+def test_rational_past_the_int_string_limit_is_refused(capsys):
+    code, out, err = invoke(capsys, "F", "1/" + "9" * 5000)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: rational too long")
 
 
 def test_negative_rational_reaches_the_domain_check(capsys):

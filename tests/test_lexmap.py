@@ -16,7 +16,7 @@ from lexworld.lexmap import (Case, F, FResult, SturmianPhi, classify,
                              lex_world_member, phi, phi_prefix, phi_sturmian,
                              phi_zero_u, sigma_member, verify_phi, KIND_ALL_ONE,
                              KIND_ALL_ZERO, KIND_CPB, KIND_GENERIC,
-                             _case, _longest_central_prefix)
+                             _case, _longest_central_prefix, _sandwiching)
 from lexworld.mechanical import mech_periodic
 from lexworld.oracle import brute_verify_phi
 from lexworld.words import LT, EQ, ONE, ZERO, Seq, expansion
@@ -403,6 +403,52 @@ def test_phi_prefix_and_phi_zero_u_share_the_case_table():
     assert decided > 2000
 
 
+def reference_letter_rule(u, v):
+    """The sandwiching word read off the letters after the longest central
+    prefix v: for v in 0* or 1*, v less a letter; else, with
+    v = w1 01 w2 = w2 10 w1, the two letters x, y after v and, when x != y,
+    the next |v| + 2 letters z against vxy.  Returns (w, branch)."""
+    if len(set(v)) == 1:
+        return v[:-1], "one-letter v"
+    cert = is_central(v)
+    x, y = u.digit(len(v)), u.digit(len(v) + 1)
+    other = cert.w2 if x == "0" else cert.w1
+    if x == y:
+        return other, "x = y"
+    z = u.prefix(2 * len(v) + 4)[len(v) + 2:]
+    assert z != v + x + y, u  # would contradict the maximality of v
+    high = z > v + x + y
+    # xy = 01 keeps v when z > v01; xy = 10 keeps it when z < v10
+    return (v if high == (x == "0") else other), f"z {'>' if high else '<'} vxy"
+
+
+def generic_inputs():
+    rng = random.Random(1400)
+    known = [known_answer(rng, rng.randrange(3, 120))[2] for _ in range(300)]
+    return [u for u in [*all_canonical_seqs(3, 8), *known]
+            if classify(u).kind == KIND_GENERIC]
+
+
+def test_sandwich_selection_matches_the_letter_rule_on_every_branch():
+    branches = {}
+    for u in generic_inputs():
+        res = phi_zero_u(u)
+        w, branch = reference_letter_rule(u, res.longest_central_prefix)
+        assert res.central.word == w, u
+        branches[branch] = branches.get(branch, 0) + 1
+    assert set(branches) == {"one-letter v", "x = y", "z > vxy", "z < vxy"}
+    assert min(branches.values()) >= 50, branches
+
+
+def test_sandwiching_picks_the_one_strictly_sandwiching_word():
+    x = "010010011"  # strictly between (010010 01)^oo and (010010 10)^oo
+    assert _sandwiching(("", "0", "010", "010010"), x) == "010010"
+    assert _sandwiching(("", "0"), x) is None
+    assert _sandwiching(("010010",), "01001001") is None  # x is the lower end
+    with pytest.raises(InvariantError, match="two central words"):
+        _sandwiching(("010010", "010010"), x)
+
+
 def test_case_table_refuses_a_word_outside_the_analysis():
     v = "010010"  # = w1 01 w2 = w2 10 w1 with w1 = "010", w2 = "0"
     cert = is_central(v)
@@ -447,6 +493,11 @@ def test_phi_sturmian_rejects_eventually_constant():
             SturmianPhi(directive).slope_cf(count)
         with pytest.raises(DomainError):
             phi_sturmian(directive)
+
+
+def test_slope_cf_needs_a_quotient():
+    with pytest.raises(DomainError, match="at least one quotient"):
+        SturmianPhi(Seq("", "01")).slope_cf(0)
 
 
 # -- the endpoint function F ------------------------------------------------------
@@ -574,6 +625,7 @@ def test_longest_central_prefix_matches_reference_on_small_family():
         ref_v, ref_directive = reference_longest_central_prefix(u)
         assert (v, is_central(v).directive) == (ref_v, ref_directive), u
         assert "longest central prefix" in trace[0]
+        assert len(v) < 2 * (len(u.pre) + len(u.per)), u
         checked += 1
     assert checked > 1000
 
@@ -595,5 +647,25 @@ def test_longest_central_prefix_matches_reference_past_the_window():
         v = _longest_central_prefix(u, [])
         ref_v, ref_directive = reference_longest_central_prefix(u)
         assert (v, is_central(v).directive) == (ref_v, ref_directive), u
+        assert len(v) < 2 * (len(u.pre) + len(u.per)), u
         longest = max(longest, len(v))
     assert longest > 256
+
+
+def test_longest_central_prefix_bound_is_nearly_tight():
+    # u = 0^k 1 (0): v = 0^k 1 0^k, so |v| / 2(|pre| + |per|) = (2k + 1)/(2k + 4)
+    k = 40
+    u = Seq("0" * k + "1", "0")
+    v = _longest_central_prefix(u, [])
+    assert v == "0" * k + "1" + "0" * k
+    assert len(v) / (2 * (len(u.pre) + len(u.per))) > 0.95
+
+
+@pytest.mark.parametrize("u", [Seq("", "01001"), Seq("", "10"),
+                               Seq("", "0010010"), ZERO, ONE])
+def test_longest_central_prefix_refuses_characteristic_input(u):
+    # a characteristic or constant u has infinitely many central prefixes,
+    # so the walk passes the bound 2(|pre| + |per|) and raises
+    assert classify(u).kind != KIND_GENERIC
+    with pytest.raises(InvariantError, match="characteristic, not generic"):
+        _longest_central_prefix(u, [])

@@ -126,6 +126,12 @@ def test_cf_alternate_form():
     assert other.digits == (2, 1, 1)
     assert other.value() == cf.value() == F(2, 5)
     assert other.alternate() == cf
+    assert cf_of_rational(1, 2).alternate().digits == (1, 1)
+
+
+def test_cf_refuses_a_slope_outside_the_unit_interval():
+    with pytest.raises(DomainError, match="0 < p < q"):
+        cf_of_rational(3, 2)
 
 
 def test_cf_is_an_immutable_value():

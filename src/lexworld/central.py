@@ -4,9 +4,9 @@ A word is *central* when it has two coprime periods ell, m with
 len + 2 = ell + m.  Central words are exactly the palindromic prefixes of
 characteristic sequences, the images of the iterated palindromic closure,
 and the words w such that 0w1 and 1w0 are balanced.  This module
-recognises them, constructs them from a slope, factorises them, and
-recovers their directive words, returning a certificate that carries the
-whole structure.
+recognises them and constructs them from a slope, returning a
+certificate that carries the whole structure: the directive word and the
+standard factorisation.
 """
 
 from __future__ import annotations
@@ -48,14 +48,13 @@ def palindromic_closure(w: str) -> str:
     """The shortest palindrome having ``w`` as a prefix.
 
     Writes w = u v with v the longest palindromic suffix and returns
-    u v reverse(u).
+    u v reverse(u).  A border of s = reverse(w) # w is a palindromic
+    suffix of w, so |v| = |s| - minimal_period(s), by one linear scan.
     """
     check_word(w)
-    for i in range(len(w)):
-        suffix = w[i:]
-        if suffix == suffix[::-1]:
-            return w + w[:i][::-1]
-    return w  # only the empty word reaches here
+    s = w[::-1] + "#" + w
+    border = len(s) - minimal_period(s)  # |v|
+    return w + w[:len(w) - border][::-1]
 
 
 def closure_chain(directive: Iterable[str] | None = None, *,
@@ -183,21 +182,6 @@ def is_central(w: str) -> CentralCertificate | None:
     return CentralCertificate(w, directive)
 
 
-def directive_of_central(w: str) -> str:
-    """The unique v with pal(v) == w; rejects non-central words."""
-    cert = is_central(w)
-    if cert is None:
-        raise DomainError(f"{w!r} is not central")
-    return cert.directive
-
-
-def standard_factorization(cert: CentralCertificate) -> tuple[str, str]:
-    """The unique (w1, w2) with word = w1 01 w2 = w2 10 w1."""
-    if cert.w1 is None or cert.w2 is None:
-        raise DomainError("words in 0* or 1* have no standard factorization")
-    return cert.w1, cert.w2
-
-
 # str.translate table exchanging the two letters.
 _COMPLEMENT = str.maketrans("01", "10")
 
@@ -240,33 +224,19 @@ def extremal_rotations(w: str) -> tuple[str, str]:
     return w[lo:] + w[:lo], w[hi:] + w[:hi]
 
 
-def pal_extension(cert: CentralCertificate, x: str) -> str:
-    """pal(directive + x) computed from the standard factorisation.
-
-    Extending by 0 gives w2 10 w1 01 w2 and extending by 1 gives
-    w1 01 w2 10 w1; both are cross-checked against the closure route.
-    """
-    if x not in ("0", "1"):
-        raise DomainError("extension letter must be '0' or '1'")
-    w1, w2 = standard_factorization(cert)
-    if x == "0":
-        out = w2 + "10" + w1 + "01" + w2
-    else:
-        out = w1 + "01" + w2 + "10" + w1
-    if out != palindromic_closure(cert.word + x):
-        raise InvariantError("factorised closure disagrees with direct closure")
-    return out
-
-
 def central_from_slope(p: int, q: int) -> CentralCertificate:
-    """The central word of slope p/q, built three independent ways.
+    """The central word of slope p/q, built once and certified.
 
-    (a) digits of the zero-intercept mechanical sequence with its bounding
-    letters stripped, (b) the palindromic closure of the directive word of
-    the continued fraction, (c) reconstruction from the coprime period pair
-    (q - m, m) with m*p = 1 (mod q).  All three must agree: (a) against (c)
-    here, (b) in the certificate, which checks pal(directive) == word.  A q
-    above ``EXPANSION_BUDGET`` is refused before any digit is written.
+    The word is built from its coprime period pair (q - m, m), m*p = 1
+    (mod q), by one walk of the period cycle, and the certificate checks
+    it with the directive read off the continued fraction of p/q.  No
+    other route could build another word that the certificate passes:
+    a word with coprime periods ell1 + ell2 = |w| + 2 is central by
+    definition; pal of the directive of p/q is the central word of slope
+    p/q; and a slope has exactly one central word.  So the floor
+    differences of the mechanical sequence of slope p/q, say, spell the
+    same word.  A q above ``EXPANSION_BUDGET`` is refused before any
+    letter is written.
     """
     if not (0 < p < q) or gcd(p, q) != 1:
         raise DomainError(
@@ -274,19 +244,8 @@ def central_from_slope(p: int, q: int) -> CentralCertificate:
     if q > EXPANSION_BUDGET:
         raise DomainError(f"slope denominator {numeral(q)} exceeds the "
                           f"budget of {EXPANSION_BUDGET} letters")
-    # (a) floor-difference digits of slope p/q, intercept 0, one byte each
-    digits = bytes(b"01"[(n + 1) * p // q - n * p // q]
-                   for n in range(q)).decode()
-    if digits[0] != "0" or digits[-1] != "1":
-        raise InvariantError("mechanical period must start 0 and end 1")
-    w_mech = digits[1:-1]
-    # (c) coprime-period reconstruction
-    w_per = _word_from_periods(p, q)
-    if w_mech != w_per:
-        raise InvariantError(
-            f"slope {p}/{q}: routes disagree ({w_mech!r}, {w_per!r})")
-    # (b) palindromic closure of the directive word, checked by the certificate
-    cert = CentralCertificate(w_mech, directive_from_cf(cf_of_rational(p, q)))
+    cert = CentralCertificate(_word_from_periods(p, q),
+                              directive_from_cf(cf_of_rational(p, q)))
     if (cert.p, cert.q) != (p, q):
         raise InvariantError(f"slope {p}/{q}: constructed word has another slope")
     return cert

@@ -128,9 +128,12 @@ def _phi(seq, check, directive, n):
         return [
             ("symbolic", sym.symbolic),
             ("case", sym.case.value),
-            ("prefix", sym.phi_value_prefix(n)),
+            ("prefix", sym.phi_value_prefix(32 if n is None else n)),
             ("slope_cf", "[0;" + ",".join(map(str, cf)) + ",...]"),
         ]
+    if n is not None:
+        raise DomainError("-n needs --directive; phi of a sequence is "
+                          "printed whole")
     u = parse_seq(seq)
     res = lexmap.phi_zero_u(u)
     lines = [
@@ -213,9 +216,10 @@ COMMANDS = {
         _sturmian_prefix),
     "classify": ("classify an eventually periodic sequence", ("seq",), {},
                  _classify),
-    "phi": ("least upper sequence for the bound 0.U", ("seq?",), {
+    "phi": ("least upper sequence for the bound 0.U; -n, the letters "
+            "printed with --directive, defaults to 32", ("seq?",), {
         "--check": (int, None, False), "--directive": (str, None, False),
-        "-n": (int, 32, False)}, _phi),
+        "-n": (int, None, False)}, _phi),
     "phi-prefix": ("decide phi from a finite prefix of U", ("word",), {},
                    _phi_prefix),
     "F": ("least right endpoint trapping {ksi 2^n}", ("x",),

@@ -13,9 +13,8 @@ from fractions import Fraction
 from itertools import count, pairwise
 from math import ceil, floor, gcd
 
-from .cf import cf_of_rational, directive_from_cf
 from .central import central_from_slope, closure_chain
-from .errors import DomainError, InvariantError
+from .errors import DomainError
 from .words import EXPANSION_BUDGET, Seq, numeral
 
 
@@ -106,32 +105,3 @@ def characteristic_sturmian_prefix(delta: Seq, n: int) -> str:
             "directive is eventually constant; its limit is periodic, "
             "use the slope-based constructors instead")
     return pal_prefix(delta, n)[:n]
-
-
-def characteristic_periodic_via_pal(p: int, q: int, variant: str = "xy") -> Seq:
-    """Intercept-equals-slope sequence of slope p/q via palindromic closure.
-
-    With directive blocks d1..dn and x the letter of the n-th block, the
-    closure of 0^d1 1^d2 ... x^(dn+1) y^oo is (w x y)^oo and the closure of
-    0^d1 1^d2 ... x^dn y x^oo is (w y x)^oo.  ``variant`` picks "xy" or
-    "yx".  The result is checked against the central-word construction.
-    """
-    if variant not in ("xy", "yx"):
-        raise DomainError("variant must be 'xy' or 'yx'")
-    cf = cf_of_rational(p, q)
-    blocks = cf.directive_blocks()
-    x = "0" if len(blocks) % 2 == 1 else "1"
-    y = "1" if x == "0" else "0"
-    head = directive_from_cf(cf) + (x if variant == "xy" else y)
-    tail = y if variant == "xy" else x
-
-    w = pal_prefix(Seq(head, tail), 2 * q + 2)
-    result = Seq("", w[:q])
-    if not result.starts_with(w):
-        raise InvariantError(f"slope {p}/{q}: closure prefix is not periodic")
-    ten_seq, oh_one_seq = characteristic_pair(p, q)
-    last_two = x + y if variant == "xy" else y + x
-    expected = ten_seq if last_two == "10" else oh_one_seq
-    if result != expected:
-        raise InvariantError(f"slope {p}/{q}: closure route disagrees")
-    return result

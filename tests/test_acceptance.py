@@ -12,7 +12,7 @@ from math import gcd
 
 from lexworld.cf import cf_of_rational, directive_from_cf
 from lexworld.central import (central_from_slope, is_central, pal,
-                              palindromic_closure, standard_factorization)
+                              palindromic_closure)
 from lexworld.lexmap import Case, F, phi_prefix, phi_zero_u, verify_phi
 from lexworld.mechanical import (characteristic_pair,
                                  characteristic_sturmian_prefix, mech_periodic)
@@ -198,7 +198,8 @@ def test_criterion_7_prefix_property_of_factor_parts():
     count = 0
     for v in central_words_upto(20):
         if "0" in v and "1" in v:
-            v1, v2 = standard_factorization(is_central(v))
+            cert = is_central(v)
+            v1, v2 = cert.w1, cert.w2
             assert Seq("", v2 + "10").starts_with(v + "01" + v2), v
             assert Seq("", v1 + "01").starts_with(v + "10" + v1), v
             count += 1

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lexworld import central
 from lexworld.central import (CentralCertificate, _central_periods,
                               _word_from_periods, central_from_slope,
-                              closure_chain, directive_of_central,
-                              extremal_rotations, is_balanced, is_central,
-                              pal, pal_extension, palindromic_closure,
-                              standard_factorization)
+                              closure_chain, extremal_rotations, is_balanced,
+                              is_central, pal, palindromic_closure)
 from lexworld.errors import DomainError, InvariantError
 from lexworld.mechanical import mech_periodic
 from lexworld.oracle import enumerate_central
@@ -61,6 +60,35 @@ def test_is_balanced_examples(w, expected):
 ])
 def test_palindromic_closure_examples(w, expected):
     assert palindromic_closure(w) == expected
+
+
+def reference_palindromic_closure(w):
+    """The closure by testing every suffix for a palindrome, longest
+    first: the library's original loop, quadratic in len(w)."""
+    for i in range(len(w)):
+        suffix = w[i:]
+        if suffix == suffix[::-1]:
+            return w + w[:i][::-1]
+    return w
+
+
+def test_closure_matches_the_suffix_loop_up_to_fourteen():
+    for n in range(15):
+        for bits in product("01", repeat=n):
+            w = "".join(bits)
+            assert palindromic_closure(w) == reference_palindromic_closure(w), w
+
+
+def test_closure_of_a_long_word_is_linear():
+    # The suffix loop tests 2**16 suffixes of about 10**5 letters before
+    # it reaches the longest palindromic suffix, 0 1 0^(2**15) 1 0.
+    k = 2 ** 16
+    w = "0" * k + "1" + "0" * (k // 2) + "10"
+    assert len(w) == 98307
+    t0 = time.perf_counter()
+    c = palindromic_closure(w)
+    assert time.perf_counter() - t0 < 1
+    assert c == w + "0" * (k - 1)
 
 
 @given(st.text(alphabet="01", max_size=10))
@@ -367,8 +395,9 @@ def floor_word(p, q):
     return "".join(str((n + 1) * p // q - n * p // q) for n in range(1, q - 1))
 
 
-def test_three_routes_agree_on_every_slope_up_to_150_and_seeded():
-    # central_from_slope raises InvariantError when its routes disagree
+def test_central_from_slope_matches_the_floor_word_up_to_150_and_seeded():
+    # the floor differences of the mechanical sequence, the library's
+    # original route (a), spell the central word of every slope
     slopes = [(p, q) for q in range(2, 151) for p in range(1, q)
               if gcd(p, q) == 1]
     assert len(slopes) == 6857
@@ -377,6 +406,30 @@ def test_three_routes_agree_on_every_slope_up_to_150_and_seeded():
         assert cert.word == floor_word(p, q), (p, q)
         assert (cert.p, cert.q) == (p, q)
         assert_read_off_fields_hold(cert)
+
+
+def swap_one_pair(w):
+    i = w.index("01")
+    return w[:i] + "10" + w[i + 2:]
+
+
+@pytest.mark.parametrize("p,q,wrong", [
+    (3, 8, lambda p, q: central_from_slope(5, q).word),
+    (2, 7, lambda p, q: central_from_slope(3, q).word),
+    (3, 8, lambda p, q: swap_one_pair(central_from_slope(p, q).word)),
+    (8, 13, lambda p, q: swap_one_pair(central_from_slope(p, q).word)),
+], ids=["other-slope-3/8", "other-slope-2/7", "swapped-3/8", "swapped-8/13"])
+def test_the_certificate_alone_refuses_a_wrong_construction(
+        monkeypatch, p, q, wrong):
+    # The word is built once; a wrong word from the construction, be it
+    # the central word of another slope with the same q or the right word
+    # with one 01 swapped, is refused by the certificate, as the floor
+    # word's comparison used to refuse it.
+    bad = wrong(p, q)
+    assert len(bad) == q - 2 and bad != floor_word(p, q)
+    monkeypatch.setattr(central, "_word_from_periods", lambda p, q: bad)
+    with pytest.raises(InvariantError, match="inconsistent central certificate"):
+        central_from_slope(p, q)
 
 
 def reference_word_from_periods(p, q):
@@ -426,16 +479,16 @@ def test_cycle_walk_matches_union_find_on_every_slope_up_to_150_and_seeded():
 
 
 @pytest.mark.parametrize("build,limit", [
-    (lambda n: central_from_slope(1, n), 8),
+    (lambda n: central_from_slope(1, n), 5),
     (lambda n: is_central("0" * n), 6),
     (lambda n: pal("0" * n), 5),
 ], ids=["central_from_slope", "is_central", "pal"])
 def test_central_words_take_a_few_bytes_per_letter(build, limit):
-    # Bytes per letter of a 2**16-letter word.  The period walk keeps one
-    # byte per letter, the certificate compares slices, and the closure
-    # chain and its callers build strings with O(1) state beside them: a
-    # list of ints per letter (a union-find, a border table) or of one slot
-    # per closure step costs 8 to 40 bytes per letter.
+    # Bytes per letter of a 2**16-letter word.  The period walk builds the
+    # word once, one byte per letter, the certificate compares slices, and
+    # the closure chain and its callers build strings with O(1) state
+    # beside them: a list of ints per letter (a union-find, a border
+    # table) or of one slot per closure step costs 8 to 40 bytes per letter.
     n = 2 ** 16
     tracemalloc.start()
     try:
@@ -459,24 +512,27 @@ def test_slope_recovery_round_trip():
 # -- factorization and directive ----------------------------------------------
 
 def test_standard_factorization_010():
-    assert standard_factorization(is_central("010")) == ("", "0")
+    cert = is_central("010")
+    assert (cert.w1, cert.w2) == ("", "0")
 
 
 def test_standard_factorization_010010():
-    assert standard_factorization(is_central("010010")) == ("010", "0")
+    cert = is_central("010010")
+    assert (cert.w1, cert.w2) == ("010", "0")
 
 
 def test_standard_factorization_rejects_constants():
-    with pytest.raises(DomainError):
-        standard_factorization(is_central(""))
-    with pytest.raises(DomainError):
-        standard_factorization(is_central("00"))
+    # words in 0* or 1* have no standard factorisation
+    for w in ("", "00"):
+        cert = is_central(w)
+        assert cert.w1 is None and cert.w2 is None
 
 
 def test_factorization_equations_hold():
     for w in central_words_upto(14):
         if "0" in w and "1" in w:
-            w1, w2 = standard_factorization(is_central(w))
+            cert = is_central(w)
+            w1, w2 = cert.w1, cert.w2
             assert w == w1 + "01" + w2 == w2 + "10" + w1
 
 
@@ -486,22 +542,21 @@ def test_factorization_equations_hold():
     ("", ""),
 ])
 def test_directive_of_central_examples(w, expected):
-    assert directive_of_central(w) == expected
+    assert is_central(w).directive == expected
 
 
 def test_directive_of_central_rejects_non_central():
-    with pytest.raises(DomainError):
-        directive_of_central("110")
+    assert is_central("110") is None
 
 
 def test_directive_round_trip():
     for w in central_words_upto(12):
-        assert pal(directive_of_central(w)) == w
+        assert pal(is_central(w).directive) == w
 
 
 def test_directive_of_long_constant_word_within_time_bound():
     t0 = time.perf_counter()
-    assert directive_of_central("0" * 40000) == "0" * 40000
+    assert is_central("0" * 40000).directive == "0" * 40000
     assert time.perf_counter() - t0 < 5
 
 
@@ -547,31 +602,36 @@ def test_circular_shift_characterization_up_to_ten():
 
 # -- extension ---------------------------------------------------------------
 
+def reference_pal_extension(cert, x):
+    """pal(directive + x) from the standard factorisation: extending by 0
+    gives w2 10 w1 01 w2 and extending by 1 gives w1 01 w2 10 w1."""
+    w1, w2 = cert.w1, cert.w2
+    return w2 + "10" + w1 + "01" + w2 if x == "0" else w1 + "01" + w2 + "10" + w1
+
+
 def test_pal_extension_zero():
-    assert pal_extension(is_central("010"), "0") == "010010"
+    assert reference_pal_extension(is_central("010"), "0") == "010010"
+    assert pal(is_central("010").directive + "0") == "010010"
 
 
 def test_pal_extension_one():
-    assert pal_extension(is_central("010"), "1") == "01010"
-
-
-def test_pal_extension_rejects_constants():
-    with pytest.raises(DomainError):
-        pal_extension(is_central(""), "0")
+    assert reference_pal_extension(is_central("010"), "1") == "01010"
+    assert pal(is_central("010").directive + "1") == "01010"
 
 
 def test_pal_extension_rejects_a_non_binary_letter():
     with pytest.raises(DomainError):
-        pal_extension(is_central("010"), "2")
+        pal(is_central("010").directive + "2")
 
 
 def test_pal_extension_matches_directive_route():
     for w in central_words_upto(10):
         if "0" in w and "1" in w:
             cert = is_central(w)
-            v = directive_of_central(w)
             for x in "01":
-                assert pal_extension(cert, x) == pal(v + x)
+                ext = reference_pal_extension(cert, x)
+                assert ext == pal(cert.directive + x)
+                assert ext == palindromic_closure(w + x)
 
 
 def test_characteristic_prefix_property_up_to_twelve():
@@ -579,6 +639,7 @@ def test_characteristic_prefix_property_up_to_twelve():
     from lexworld.words import Seq
     for v in central_words_upto(12):
         if "0" in v and "1" in v:
-            v1, v2 = standard_factorization(is_central(v))
+            cert = is_central(v)
+            v1, v2 = cert.w1, cert.w2
             assert Seq("", v2 + "10").starts_with(v + "01" + v2)
             assert Seq("", v1 + "01").starts_with(v + "10" + v1)

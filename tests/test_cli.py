@@ -221,6 +221,23 @@ def test_phi_symbolic_directive(capsys):
     assert any(line.startswith("slope_cf = [0;2,1,1") for line in lines)
 
 
+def test_phi_directive_prints_32_letters_without_n(capsys):
+    code, out, _ = invoke(capsys, "phi", "--directive", "(01)")
+    assert code == 0
+    assert out == ("symbolic = 1*Pal((01))\ncase = iii_sturmian\n"
+                   "prefix = 10100101001001010010100100101001\n"
+                   "slope_cf = [0;2,1,1,1,1,1,1,1,...]\n")
+
+
+@pytest.mark.parametrize("n", ["0", "5"])
+def test_phi_of_a_sequence_refuses_n(capsys, n):
+    # -n sets the letters printed with --directive; phi of a sequence is
+    # printed whole, so -n would go unused
+    code, out, err = invoke(capsys, "phi", "(1100)", "-n", n)
+    assert (code, out) == (1, "")
+    assert err == "error: -n needs --directive; phi of a sequence is printed whole\n"
+
+
 def test_phi_requires_exactly_one_input_mode(capsys):
     assert invoke(capsys, "phi")[0] == 1
     assert invoke(capsys, "phi", "(01)", "--directive", "(01)")[0] == 1
@@ -377,7 +394,9 @@ def reference_parse(argv):
     sp.add_argument("seq", nargs="?")
     sp.add_argument("--check", type=int)
     sp.add_argument("--directive")
-    sp.add_argument("-n", type=int, default=32)
+    # unset by default, as in the table, so that phi can refuse -n with a
+    # sequence; phi itself prints 32 letters when --directive comes alone
+    sp.add_argument("-n", type=int)
     sp = sub.add_parser("F")
     sp.add_argument("x")
     sp.add_argument("--check", type=int)

@@ -7,9 +7,8 @@ from lexworld.cf import ContinuedFraction, cf_of_rational, directive_from_cf
 from lexworld.central import central_from_slope, is_balanced, pal
 from lexworld.errors import DomainError
 from lexworld.mechanical import (characteristic_pair,
-                                 characteristic_periodic_via_pal,
                                  characteristic_sturmian_prefix, mech_lower,
-                                 mech_periodic, mech_upper)
+                                 mech_periodic, mech_upper, pal_prefix)
 from lexworld.words import EXPANSION_BUDGET, Seq
 
 F = Fraction
@@ -175,12 +174,35 @@ def test_directive_word_reproduces_central_word():
 
 # -- closure route for the periodic characteristic pair ------------------------
 
+def reference_characteristic_periodic_via_pal(p, q, variant):
+    """Intercept-equals-slope sequence of slope p/q via palindromic closure.
+
+    With directive blocks d1..dn and x the letter of the n-th block, the
+    closure of 0^d1 1^d2 ... x^(dn+1) y^oo is (w x y)^oo and the closure of
+    0^d1 1^d2 ... x^dn y x^oo is (w y x)^oo; ``variant`` picks "xy" or
+    "yx".  A route to ``characteristic_pair`` that does not go
+    through ``central_from_slope``; the period's last two letters tell which of
+    (w10)^oo and (w01)^oo it must equal.
+    """
+    cf = cf_of_rational(p, q)
+    x = "0" if len(cf.directive_blocks()) % 2 == 1 else "1"
+    y = "1" if x == "0" else "0"
+    head = directive_from_cf(cf) + (x if variant == "xy" else y)
+    tail = y if variant == "xy" else x
+    w = pal_prefix(Seq(head, tail), 2 * q + 2)
+    result = Seq("", w[:q])
+    assert result.starts_with(w), (p, q, variant)
+    assert result.per.endswith(x + y if variant == "xy" else y + x)
+    return result
+
+
 def test_via_pal_examples():
-    assert characteristic_periodic_via_pal(2, 5, "xy") == Seq("", "01010")
-    assert characteristic_periodic_via_pal(2, 5, "yx") == Seq("", "01001")
+    via_pal = reference_characteristic_periodic_via_pal
+    assert via_pal(2, 5, "xy") == Seq("", "01010")
+    assert via_pal(2, 5, "yx") == Seq("", "01001")
     # for slope 1/2 the final directive letter is 0, so "xy" means "01"
-    assert characteristic_periodic_via_pal(1, 2, "xy") == Seq("", "01")
-    assert characteristic_periodic_via_pal(1, 2, "yx") == Seq("", "10")
+    assert via_pal(1, 2, "xy") == Seq("", "01")
+    assert via_pal(1, 2, "yx") == Seq("", "10")
 
 
 def test_via_pal_agrees_with_pair_everywhere():
@@ -188,14 +210,9 @@ def test_via_pal_agrees_with_pair_everywhere():
         for p in range(1, q):
             if gcd(p, q) == 1:
                 ten, oh_one = characteristic_pair(p, q)
-                got = {characteristic_periodic_via_pal(p, q, "xy"),
-                       characteristic_periodic_via_pal(p, q, "yx")}
+                got = {reference_characteristic_periodic_via_pal(p, q, "xy"),
+                       reference_characteristic_periodic_via_pal(p, q, "yx")}
                 assert got == {ten, oh_one}
-
-
-def test_via_pal_rejects_bad_variant():
-    with pytest.raises(DomainError):
-        characteristic_periodic_via_pal(2, 5, "xx")
 
 
 # -- aperiodic characteristic prefixes -----------------------------------------

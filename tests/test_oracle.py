@@ -20,15 +20,14 @@ Fr = Fraction
 PUBLIC = {
     "cf": "ContinuedFraction cf_of_rational directive_from_cf",
     "central": "CentralCertificate central_from_slope closure_chain "
-               "directive_of_central extremal_rotations is_balanced is_central "
-               "pal pal_extension palindromic_closure standard_factorization",
+               "extremal_rotations is_balanced is_central pal "
+               "palindromic_closure",
     "errors": "DomainError InvariantError ParseError",
     "lexmap": "Case Classification F FResult PhiResult PrefixDecision "
               "SturmianPhi VerifyReport classify lex_world_member phi "
               "phi_prefix phi_sturmian phi_zero_u sigma_member verify_phi",
-    "mechanical": "characteristic_pair characteristic_periodic_via_pal "
-                  "characteristic_sturmian_prefix mech_lower mech_periodic "
-                  "mech_upper",
+    "mechanical": "characteristic_pair characteristic_sturmian_prefix "
+                  "mech_lower mech_periodic mech_upper",
     "oracle": "SweepConfig brute_F brute_phi brute_verify_phi "
               "enumerate_central naive_balance sandwich_census",
     "words": "EQ GT LT ONE ZERO Seq check_word expansion minimal_period "

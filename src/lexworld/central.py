@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from math import gcd
 
-from .cf import cf_of_rational, directive_from_cf
 from .errors import DomainError, InvariantError, Value
 from .words import (EXPANSION_BUDGET, check_word, is_period, minimal_period,
                     numeral)
@@ -244,6 +243,7 @@ def central_from_slope(p: int, q: int) -> CentralCertificate:
     if q > EXPANSION_BUDGET:
         raise DomainError(f"slope denominator {numeral(q)} exceeds the "
                           f"budget of {EXPANSION_BUDGET} letters")
+    from .cf import cf_of_rational, directive_from_cf
     cert = CentralCertificate(_word_from_periods(p, q),
                               directive_from_cf(cf_of_rational(p, q)))
     if (cert.p, cert.q) != (p, q):

@@ -9,7 +9,6 @@ that produces the standard word of slope p/q.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, Value
@@ -40,6 +39,7 @@ class ContinuedFraction(Value):
         return cls(tuple(digits))
 
     def value(self) -> Fraction:
+        from fractions import Fraction
         x = Fraction(0)
         for a in reversed(self.digits):
             x = Fraction(1, a + x)

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
 from .central import (CentralCertificate, closure_chain,
                       extremal_rotations, is_balanced, is_central,
                       _central_periods)
 from .errors import DomainError, InvariantError, Value
-from .mechanical import characteristic_sturmian_prefix, is_sturmian_directive
 from .words import EQ, GT, LT, ONE, ZERO, Seq, check_word, expansion, numeral
 
 
@@ -354,6 +352,7 @@ class SturmianPhi(Value):
     case = Case.III_STURMIAN
 
     def __init__(self, directive: Seq):
+        from .mechanical import is_sturmian_directive
         if not is_sturmian_directive(directive):
             raise DomainError("directive is eventually constant; the limit is "
                               "periodic and handled by the slope-based path")
@@ -364,6 +363,7 @@ class SturmianPhi(Value):
         return f"1*Pal({self.directive})"
 
     def u_prefix(self, n: int) -> str:
+        from .mechanical import characteristic_sturmian_prefix
         return characteristic_sturmian_prefix(self.directive, n)
 
     def phi_value_prefix(self, n: int) -> str:
@@ -422,6 +422,7 @@ def F(x: Fraction) -> FResult:
     comparison against x + 1/2 is recorded: characteristic inputs reach it
     or fall below, generic ones stay strictly below.
     """
+    from fractions import Fraction
     x = Fraction(x)
     if x < 0 or x > 1:
         raise DomainError(f"F is defined on [0, 1], got {numeral(x)}")

@@ -9,7 +9,6 @@ directive sequences, whose block lengths encode the continued fraction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count, pairwise
 from math import ceil, floor, gcd
 
@@ -39,7 +38,7 @@ def mech_upper(alpha: Fraction, rho: Fraction, n: int) -> int:
     return ceil((n + 1) * alpha + rho) - ceil(n * alpha + rho)
 
 
-def mech_periodic(p: int, q: int, rho: Fraction = Fraction(0),
+def mech_periodic(p: int, q: int, rho: Fraction | int = 0,
                   upper: bool = False) -> Seq:
     """The full mechanical sequence of slope p/q as a periodic object.
 
@@ -58,6 +57,7 @@ def mech_periodic(p: int, q: int, rho: Fraction = Fraction(0),
     if q > EXPANSION_BUDGET:
         raise DomainError(f"period {numeral(q)} exceeds the budget of "
                           f"{EXPANSION_BUDGET} digits")
+    from fractions import Fraction
     rho = Fraction(rho)
     _check_params(Fraction(p, q), rho, 0)
     a, c, d = p * rho.denominator, rho.numerator * q, q * rho.denominator

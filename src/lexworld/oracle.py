@@ -9,7 +9,6 @@ suite and by the CLI --check flag.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -73,6 +72,7 @@ def brute_phi(u: Seq, cfg: SweepConfig = SweepConfig()) -> Seq:
 def brute_F(x: Fraction, cfg: SweepConfig = SweepConfig()) -> Fraction:
     """F(x) by the same exhaustive search, bounded below by the smaller
     expansion of x (so dyadic x constrains exactly like the real x)."""
+    from fractions import Fraction
     x = Fraction(x)
     if x < 0 or x > 1:
         raise DomainError(f"F is defined on [0, 1], got {numeral(x)}")

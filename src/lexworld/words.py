@@ -14,7 +14,6 @@ relied on throughout and makes ``1`` a legitimate endpoint value.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, ParseError, Value
@@ -209,6 +208,7 @@ class Seq(Value):
 
     def value(self) -> Fraction:
         """The exact number in [0, 1] whose binary digits are this sequence."""
+        from fractions import Fraction
         head = Fraction(int(self.pre, 2) if self.pre else 0, 1 << len(self.pre))
         tail = Fraction(int(self.per, 2), ((1 << len(self.per)) - 1) << len(self.pre))
         return head + tail
@@ -226,6 +226,7 @@ def numeral(x: Fraction | int) -> str:
     try:
         return str(x)
     except ValueError:
+        from fractions import Fraction
         x = Fraction(x)
         if x.denominator == 1:
             return (f"{'a negative' if x < 0 else 'an'} integer of "
@@ -294,6 +295,7 @@ def expansion(x: Fraction, greater: bool = False) -> Seq:
     ``x`` whose expansion needs more than ``EXPANSION_BUDGET`` digits is
     refused with DomainError.
     """
+    from fractions import Fraction
     x = Fraction(x)
     if x < 0 or x > 1:
         raise DomainError(f"expansion requires 0 <= x <= 1, got {numeral(x)}")
@@ -365,4 +367,5 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"rational too long: {exc}") from None
     if d == 0:
         raise ParseError("denominator must be positive", len(num) + 1)
+    from fractions import Fraction
     return Fraction(n, d)

@@ -537,17 +537,30 @@ def test_command_help_lists_its_options(capsys):
     assert listed == ["--alpha", "--rho", "--upper", "-n"]
 
 
+# fractions brings decimal; only commands that build a Fraction load it
+_NO_FRACTIONS = ("fractions", "decimal", "lexworld.cf")
+_NO_MECHANICAL = (*_NO_FRACTIONS, "lexworld.mechanical")
+
+
 @pytest.mark.parametrize("argv,unused", [
-    (["F", "1/3"], ()),
-    (["pal", "011"], ("lexworld.lexmap", "lexworld.mechanical")),
+    (["F", "1/3"], ("lexworld.cf", "lexworld.mechanical")),
+    (["pal", "011"], ("lexworld.lexmap", *_NO_MECHANICAL)),
     (["mech", "--alpha", "2/5", "-n", "4"], ("lexworld.lexmap",)),
-], ids=["F", "pal", "mech"])
+    (["closure", "011"], _NO_FRACTIONS),
+    (["central-check", "010010"], _NO_FRACTIONS),
+    (["phi", "0(1101)"], _NO_MECHANICAL),
+    (["classify", "0(1101)"], _NO_MECHANICAL),
+    (["verify", "(1100)", "(10)"], _NO_MECHANICAL),
+    (["phi-prefix", "0100101"], _NO_MECHANICAL),
+    (["phi", "--directive", "(01)", "-n", "8"], ("fractions", "lexworld.cf")),
+], ids=["F", "pal", "mech", "closure", "central-check", "phi", "classify",
+        "verify", "phi-prefix", "phi-directive"])
 def test_import_loads_neither_dataclasses_nor_inspect(argv, unused):
     # Every CLI call pays for the import, and these modules (with the ast,
     # dis and tokenize modules that inspect pulls in) are slow to load; the
     # oracle serves only --check and the oracle command, and each command
-    # imports only the lexworld modules it runs.  -S keeps the
-    # interpreter's site hooks out of the checked set.
+    # imports only the modules it runs.  -S keeps the interpreter's site
+    # hooks out of the checked set.
     import lexworld
     src = os.path.dirname(os.path.dirname(lexworld.__file__))
     banned = {"argparse", "dataclasses", "inspect", "lexworld.oracle", *unused}

@@ -4,13 +4,15 @@ A word is *central* when it has two coprime periods ell, m with
 len + 2 = ell + m.  Central words are exactly the palindromic prefixes of
 characteristic sequences, the images of the iterated palindromic closure,
 and the words w such that 0w1 and 1w0 are balanced.  This module
-recognises them and constructs them from a slope, returning a
-certificate that carries the whole structure: the directive word and the
-standard factorisation.
+recognises them and constructs them from a slope, as pal of the
+directive read off its continued fraction, a directive run at a time,
+returning a certificate that carries the whole structure: the directive
+word and the standard factorisation.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator
 from math import gcd
 
@@ -56,15 +58,18 @@ def palindromic_closure(w: str) -> str:
     return w + w[:len(w) - border][::-1]
 
 
-def closure_chain(directive: Iterable[str] | None = None, *,
-                  prefixes_of: str | None = None) -> Iterator[tuple[str, str]]:
-    """Per directive letter x, yield (piece, x): pal(v x) = pal(v) piece.
+def closure_chain(directive: Iterable[tuple[str, int]] | None = None, *,
+                  prefixes_of: str | None = None
+                  ) -> Iterator[tuple[str, str, int]]:
+    """Per directive run x^k, yield (piece, x, k): pal(v x^k) = pal(v) piece^k.
 
     By Justin's formula (Justin 2005; de Luca 1997) the piece is x pal(v)
     if x does not occur in v, else pal(v) less its prefix pal(v'), v' being
-    v before its last x; so each step costs its piece, a chain its final
-    length.  Give one source: ``directive`` (any iterable, even endless)
-    builds pal(v); ``prefixes_of`` walks a word, taking each letter from the
+    v before its last x; one x later the piece starts where pal(v) ends, so
+    it repeats through the run and each run costs its output.  Give one
+    source: ``directive``, (x, k) runs with k >= 1 (any iterable, even
+    endless), builds pal(v), extending it after each yield; ``prefixes_of``
+    walks a word a letter at a time (k = 1), taking each letter from the
     word after the current prefix and stopping before the first closure
     that is not a prefix.  A word's central prefixes form this one chain,
     so the walk's running lengths are exactly theirs.
@@ -72,40 +77,44 @@ def closure_chain(directive: Iterable[str] | None = None, *,
     if (directive is None) == (prefixes_of is None):
         raise DomainError("closure_chain takes a directive or a word to walk")
     walk = directive is None
-    letters = iter(() if walk else directive)
+    runs = iter(() if walk else directive)
     w = prefixes_of if walk else ""  # the walked word, or pal(v) so far
     n = 0  # len(pal(v))
     start: dict[str, int] = {}  # x -> len(pal(v')), v' = v before its last x
     while not walk or n < len(w):
-        x = w[n] if walk else next(letters, None)
+        x, k = (w[n], 1) if walk else next(runs, (None, 0))
         if x is None:
             return
-        k = start.get(x)
-        piece = x + w[:n] if k is None else w[k:n]
+        s = start.get(x)
+        piece = x + w[:n] if s is None else w[s:n]
         if walk and not w.startswith(piece, n):
             return
+        start[x] = n + (k - 1) * len(piece)
+        yield piece, x, k
         if not walk:
-            w += piece
-        start[x] = n
-        n += len(piece)
-        yield piece, x
+            w += piece * k
+        n += k * len(piece)
+
+
+# A directive's runs x^k, as the strings x * k.
+_RUNS = re.compile("0+|1+")
 
 
 def pal(v: str) -> str:
     """Iterated palindromic closure: pal(wx) = closure(pal(w) + x), built
-    in linear time by ``closure_chain`` (Justin's formula).
+    by ``closure_chain`` (Justin's formula) a run of ``v`` at a time.
 
     |pal(v)| can grow exponentially in |v|, so an output longer than
-    ``EXPANSION_BUDGET`` is refused with DomainError, once the first piece
-    past the budget is built.
+    ``EXPANSION_BUDGET`` is refused with DomainError before the run that
+    would pass it is built.
     """
     check_word(v)
     word = ""
-    for piece, _ in closure_chain(v):
-        if len(word) + len(piece) > EXPANSION_BUDGET:
+    for piece, _, k in closure_chain((r[0], len(r)) for r in _RUNS.findall(v)):
+        if len(word) + k * len(piece) > EXPANSION_BUDGET:
             raise DomainError(f"pal of a {len(v)}-letter word exceeds the "
                               f"budget of {EXPANSION_BUDGET} letters")
-        word += piece
+        word += piece * k
     return word
 
 
@@ -173,7 +182,7 @@ def is_central(w: str) -> CentralCertificate | None:
     """
     check_word(w)
     n, directive = 0, ""
-    for piece, x in closure_chain(prefixes_of=w):
+    for piece, x, _ in closure_chain(prefixes_of=w):
         n += len(piece)
         directive += x
     if n != len(w):
@@ -224,18 +233,16 @@ def extremal_rotations(w: str) -> tuple[str, str]:
 
 
 def central_from_slope(p: int, q: int) -> CentralCertificate:
-    """The central word of slope p/q, built once and certified.
+    """The central word of slope p/q: pal of the directive read off the
+    continued fraction of p/q, certified.
 
-    The word is built from its coprime period pair (q - m, m), m*p = 1
-    (mod q), by one walk of the period cycle, and the certificate checks
-    it with the directive read off the continued fraction of p/q.  No
-    other route could build another word that the certificate passes:
-    a word with coprime periods ell1 + ell2 = |w| + 2 is central by
-    definition; pal of the directive of p/q is the central word of slope
-    p/q; and a slope has exactly one central word.  So the floor
-    differences of the mechanical sequence of slope p/q, say, spell the
-    same word.  A q above ``EXPANSION_BUDGET`` is refused before any
-    letter is written.
+    The certificate's two periods come from p and q alone, so they vouch
+    for the word without trusting ``pal``: a word with coprime periods
+    ell1 + ell2 = |w| + 2 is central, its length and its ones fix its
+    slope, checked to be p/q, and a slope has exactly one central word.
+    So the floor differences of the mechanical sequence of slope p/q, say,
+    spell the same word.  A q above ``EXPANSION_BUDGET`` is refused before
+    any letter is written.
     """
     if not (0 < p < q) or gcd(p, q) != 1:
         raise DomainError(
@@ -244,29 +251,8 @@ def central_from_slope(p: int, q: int) -> CentralCertificate:
         raise DomainError(f"slope denominator {numeral(q)} exceeds the "
                           f"budget of {EXPANSION_BUDGET} letters")
     from .cf import cf_of_rational, directive_from_cf
-    cert = CentralCertificate(_word_from_periods(p, q),
-                              directive_from_cf(cf_of_rational(p, q)))
+    directive = directive_from_cf(cf_of_rational(p, q))
+    cert = CentralCertificate(pal(directive), directive)
     if (cert.p, cert.q) != (p, q):
         raise InvariantError(f"slope {p}/{q}: constructed word has another slope")
     return cert
-
-
-def _word_from_periods(p: int, q: int) -> str:
-    # The periods ell and m = q - ell force w[i] = w[j] for i, j < q - 2
-    # with j = i + ell or j = i + ell - q: neighbours on the cycle
-    # i -> (i + ell) mod q, which visits every residue as gcd(ell, q) = 1.
-    # Its two ends q - 2 and q - 1 cut it into two arcs, the two letter
-    # classes; since ell*p = -1 (mod q), the arc from q - 1 to q - 2 holds
-    # p - 1 positions, the ones.
-    ell = q - pow(p, -1, q)
-    word = bytearray(b"0") * (q - 2)
-    i, ones = (q - 1 + ell) % q, 0
-    while i != q - 2:
-        if i == q - 1:
-            raise InvariantError(f"slope {p}/{q}: the period cycle misses q - 2")
-        word[i] = ord("1")
-        ones += 1
-        i = (i + ell) % q
-    if ones != p - 1:
-        raise InvariantError(f"slope {p}/{q}: the ones arc has {ones} positions")
-    return word.decode()

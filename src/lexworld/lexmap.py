@@ -23,7 +23,7 @@ from math import gcd
 
 from .central import (CentralCertificate, closure_chain,
                       extremal_rotations, is_balanced, is_central,
-                      _central_periods)
+                      _central_periods, _RUNS)
 from .errors import DomainError, InvariantError, Value
 from .words import EQ, GT, LT, ONE, ZERO, Seq, check_word, expansion, numeral
 
@@ -183,7 +183,7 @@ def _longest_central_prefix(u: Seq, trace: list[str]) -> str:
     n = 64
     while True:
         window = u.prefix(n)
-        v = window[:sum(len(piece) for piece, _ in
+        v = window[:sum(len(piece) for piece, _, _ in
                         closure_chain(prefixes_of=window))]
         if len(v) >= 2 * (len(u.pre) + len(u.per)):
             raise InvariantError(
@@ -373,19 +373,16 @@ class SturmianPhi(Value):
 
     def slope_cf(self, count: int) -> tuple[int, ...]:
         """First ``count`` partial quotients [a1, a2, ...] of the slope,
-        from the directive's alternating block lengths (a1 = d1 + 1)."""
+        from the directive's alternating block lengths (a1 = d1 + 1, with
+        d1 = 0 when the directive starts with 1).  Each copy of the
+        non-constant period changes letter, so the prefix read holds more
+        than ``count`` complete blocks."""
         if count < 1:
             raise DomainError("need at least one quotient")
-        quotients: list[int] = []
-        letter, run, i = "0", 0, 0
-        while len(quotients) < count:
-            c = self.directive.digit(i)
-            if c == letter:
-                run += 1
-                i += 1
-            else:
-                quotients.append(run)
-                letter, run = c, 0
+        d = self.directive
+        prefix = d.prefix(len(d.pre) + (count + 2) * len(d.per))
+        quotients = [0] * prefix.startswith("1") + [
+            len(run) for run in _RUNS.findall(prefix)]
         quotients[0] += 1
         return tuple(quotients[:count])
 

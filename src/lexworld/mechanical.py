@@ -82,7 +82,7 @@ def pal_prefix(delta: Seq, min_len: int) -> str:
     """A prefix of the iterated palindromic closure of the digits of ``delta``
     with length at least ``min_len``."""
     w = ""
-    steps = closure_chain(map(delta.digit, count()))
+    steps = closure_chain((delta.digit(i), 1) for i in count())
     while len(w) < min_len:
         w += next(steps)[0]
     return w

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from lexworld import central
 from lexworld.central import (CentralCertificate, _central_periods,
-                              _word_from_periods, central_from_slope,
-                              closure_chain, extremal_rotations, is_balanced,
-                              is_central, pal, palindromic_closure)
+                              central_from_slope, closure_chain,
+                              extremal_rotations, is_balanced, is_central,
+                              pal, palindromic_closure)
+from lexworld.cf import cf_of_rational, directive_from_cf
 from lexworld.errors import DomainError, InvariantError
 from lexworld.mechanical import mech_periodic
 from lexworld.oracle import enumerate_central
@@ -113,26 +114,75 @@ def test_pal_examples(v, expected):
 
 
 def test_pal_refuses_an_output_past_the_budget():
-    # |pal((01)^15)| = 3,524,576 <= 2**22 < |pal((01)^15 0)| = 5,702,885
+    # |pal((01)^15)| = 3,524,576 <= 2**22 < |pal((01)^15 0)| = 5,702,885;
+    # a run past the budget is refused before it is built.
     v = "01" * 15
     assert len(pal(v)) == 3524576 <= EXPANSION_BUDGET
-    for longer in (v + "0", "01" * 20):
+    for longer in (v + "0", "01" * 20, "0" * (EXPANSION_BUDGET + 1)):
+        t0 = time.perf_counter()
         with pytest.raises(DomainError, match="budget"):
             pal(longer)
+        assert time.perf_counter() - t0 < 0.5
 
 
 def test_pal_prefix_monotone():
     # Every closure_chain step equals one palindromic_closure step, on all
-    # 8,191 directives of <= 12 letters, so pal(v[:k]) is a prefix of pal(v).
+    # 8,191 directives of <= 12 letters fed as one-letter runs, so
+    # pal(v[:k]) is a prefix of pal(v).
     for v in central_directives_upto(12):
         w = ""
-        steps = list(closure_chain(v))
-        assert [x for _, x in steps] == list(v)
-        for piece, x in steps:
+        steps = list(closure_chain((x, 1) for x in v))
+        assert [(x, k) for _, x, k in steps] == [(x, 1) for x in v]
+        for piece, x, _ in steps:
             nxt = palindromic_closure(w + x)
             assert nxt == w + piece, (v, x)
             w = nxt
         assert pal(v) == w
+
+
+def test_pal_by_runs_matches_its_definition_up_to_fourteen():
+    # pal(v x) = palindromic_closure(pal(v) + x), depth-first over all
+    # 32,767 directives of <= 14 letters.
+    stack = [("", "")]
+    count = 0
+    while stack:
+        v, w = stack.pop()
+        assert pal(v) == w, v
+        count += 1
+        if len(v) < 14:
+            stack.extend((v + x, palindromic_closure(w + x)) for x in "01")
+    assert count == 2 ** 15 - 1
+
+
+def test_run_steps_repeat_one_piece():
+    # pal(v x^k) = pal(v) piece^k: one yield per run, each run's piece the
+    # piece of its first letter.
+    v = "0001100000101"
+    runs = [("0", 3), ("1", 2), ("0", 5), ("1", 1), ("0", 1), ("1", 1)]
+    steps = list(closure_chain(runs))
+    letters = list(closure_chain((x, 1) for x in v))
+    assert [(x, k) for _, x, k in steps] == runs
+    firsts = [0, 3, 5, 10, 11, 12]
+    assert [piece for piece, _, _ in steps] == [letters[i][0] for i in firsts]
+    assert "".join(piece * k for piece, _, k in steps) == pal(v)
+
+
+def large_quotient_slopes():
+    # 1/q has the directive 0^(q-2), 2/(2k+1) the directive 0^(k-1) 1.
+    rng = random.Random(20261020)
+    out = []
+    for _ in range(20):
+        q = rng.randrange(3, 20001)
+        k = rng.randrange(1, 10001)
+        out += [(1, q), (q - 1, q), (2, 2 * k + 1), (2 * k - 1, 2 * k + 1)]
+    return out
+
+
+def test_pal_of_directives_with_long_runs_is_the_floor_word():
+    for p, q in large_quotient_slopes():
+        word = floor_word(p, q)
+        assert pal(directive_from_cf(cf_of_rational(p, q))) == word, (p, q)
+        assert central_from_slope(p, q).word == word, (p, q)
 
 
 def central_directives_upto(max_len):
@@ -162,7 +212,7 @@ def test_pal_chain_needs_exactly_one_source():
 
 def walked_prefixes(word):
     out, n = [], 0
-    for piece, _ in closure_chain(prefixes_of=word):
+    for piece, _, _ in closure_chain(prefixes_of=word):
         n += len(piece)
         out.append(word[:n])
     return out
@@ -384,11 +434,15 @@ def test_central_from_slope_rejects_bad_input():
         central_from_slope(10 ** 5000, 3)
 
 
-def test_central_from_slope_fibonacci_within_time_bound():
+@pytest.mark.parametrize("p,q,limit,directive", [
+    (6765, 10946, 5, "10" * 9),
+    (1, 2 ** 22, 1, "0" * (2 ** 22 - 2)),
+], ids=["fibonacci", "one-over-2**22"])
+def test_central_from_slope_within_time_bound(p, q, limit, directive):
     t0 = time.perf_counter()
-    cert = central_from_slope(6765, 10946)
-    assert time.perf_counter() - t0 < 5
-    assert len(cert.word) == 10944 and cert.directive == "10" * 9
+    cert = central_from_slope(p, q)
+    assert time.perf_counter() - t0 < limit
+    assert len(cert.word) == q - 2 and cert.directive == directive
 
 
 def floor_word(p, q):
@@ -413,29 +467,36 @@ def swap_one_pair(w):
     return w[:i] + "10" + w[i + 2:]
 
 
-@pytest.mark.parametrize("p,q,wrong", [
-    (3, 8, lambda p, q: central_from_slope(5, q).word),
-    (2, 7, lambda p, q: central_from_slope(3, q).word),
-    (3, 8, lambda p, q: swap_one_pair(central_from_slope(p, q).word)),
-    (8, 13, lambda p, q: swap_one_pair(central_from_slope(p, q).word)),
+ANOTHER_SLOPE = "constructed word has another slope"
+INCONSISTENT = "inconsistent central certificate"
+
+
+@pytest.mark.parametrize("p,q,wrong,message", [
+    (3, 8, lambda p, q: central_from_slope(5, q).word, ANOTHER_SLOPE),
+    (2, 7, lambda p, q: central_from_slope(3, q).word, ANOTHER_SLOPE),
+    (3, 8, lambda p, q: swap_one_pair(central_from_slope(p, q).word),
+     INCONSISTENT),
+    (8, 13, lambda p, q: swap_one_pair(central_from_slope(p, q).word),
+     INCONSISTENT),
 ], ids=["other-slope-3/8", "other-slope-2/7", "swapped-3/8", "swapped-8/13"])
 def test_the_certificate_alone_refuses_a_wrong_construction(
-        monkeypatch, p, q, wrong):
-    # The word is built once; a wrong word from the construction, be it
-    # the central word of another slope with the same q or the right word
-    # with one 01 swapped, is refused by the certificate, as the floor
-    # word's comparison used to refuse it.
+        monkeypatch, p, q, wrong, message):
+    # The certificate's periods come from p and q alone, so a wrong pal,
+    # patched in for both the construction and the certificate's own
+    # check, is still refused: the central word of another slope with the
+    # same q by the slope check, the right word with one 01 swapped by
+    # the period checks.
     bad = wrong(p, q)
     assert len(bad) == q - 2 and bad != floor_word(p, q)
-    monkeypatch.setattr(central, "_word_from_periods", lambda p, q: bad)
-    with pytest.raises(InvariantError, match="inconsistent central certificate"):
+    monkeypatch.setattr(central, "pal", lambda v: bad)
+    with pytest.raises(InvariantError, match=message):
         central_from_slope(p, q)
 
 
 def reference_word_from_periods(p, q):
     """The central word of slope p/q by merging, in a union-find, the
     positions its two periods force equal: the library's original route
-    (c), kept as the reference for the cycle walk."""
+    (c), kept as a reference independent of pal."""
     n = q - 2
     if n == 0:
         return ""
@@ -469,13 +530,13 @@ def reference_word_from_periods(p, q):
     return "".join(letters)
 
 
-def test_cycle_walk_matches_union_find_on_every_slope_up_to_150_and_seeded():
+def test_central_from_slope_matches_union_find_up_to_150_and_seeded():
     slopes = [(p, q) for q in range(2, 151) for p in range(1, q)
               if gcd(p, q) == 1]
     assert len(slopes) == 6857
     for p, q in slopes + seeded_slopes():
-        assert _word_from_periods(p, q) == reference_word_from_periods(p, q), \
-            (p, q)
+        assert central_from_slope(p, q).word == \
+            reference_word_from_periods(p, q), (p, q)
 
 
 @pytest.mark.parametrize("build,limit", [
@@ -484,11 +545,11 @@ def test_cycle_walk_matches_union_find_on_every_slope_up_to_150_and_seeded():
     (lambda n: pal("0" * n), 5),
 ], ids=["central_from_slope", "is_central", "pal"])
 def test_central_words_take_a_few_bytes_per_letter(build, limit):
-    # Bytes per letter of a 2**16-letter word.  The period walk builds the
-    # word once, one byte per letter, the certificate compares slices, and
-    # the closure chain and its callers build strings with O(1) state
-    # beside them: a list of ints per letter (a union-find, a border
-    # table) or of one slot per closure step costs 8 to 40 bytes per letter.
+    # Bytes per letter of a 2**16-letter word.  The closure chain and its
+    # callers build strings with O(1) state beside them, and the
+    # certificate compares slices: a list of ints per letter (a
+    # union-find, a border table) or of one slot per closure step costs 8
+    # to 40 bytes per letter.
     n = 2 ** 16
     tracemalloc.start()
     try:

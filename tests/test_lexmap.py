@@ -500,6 +500,41 @@ def test_slope_cf_needs_a_quotient():
         SturmianPhi(Seq("", "01")).slope_cf(0)
 
 
+def reference_slope_cf(directive, count):
+    """The partial quotients by walking the directive a letter at a time:
+    the library's original block loop."""
+    quotients = []
+    letter, run, i = "0", 0, 0
+    while len(quotients) < count:
+        c = directive.digit(i)
+        if c == letter:
+            run += 1
+            i += 1
+        else:
+            quotients.append(run)
+            letter, run = c, 0
+    quotients[0] += 1
+    return tuple(quotients[:count])
+
+
+def test_slope_cf_matches_the_letter_loop():
+    # Every non-constant period of <= 6 letters after every preperiod of
+    # <= 4 letters, at every count up to 8.
+    words = [["".join(b) for b in product("01", repeat=n)] for n in range(7)]
+    pres = [w for n in range(5) for w in words[n]]
+    pers = [w for n in range(1, 7) for w in words[n] if "0" in w and "1" in w]
+    checked = 0
+    for pre in pres:
+        for per in pers:
+            directive = Seq(pre, per)
+            sym = SturmianPhi(directive)
+            for count in range(1, 9):
+                assert sym.slope_cf(count) == \
+                    reference_slope_cf(directive, count), (pre, per, count)
+                checked += 1
+    assert checked == 28272
+
+
 # -- the endpoint function F ------------------------------------------------------
 
 @pytest.mark.parametrize("x,expected", [
@@ -586,6 +621,31 @@ def test_f_verified_flag_always_true():
         assert F(x).verified is True
     # a class constant, not a field: every returned result was verified
     assert "verified" not in FResult._fields
+
+
+def test_f_plateaus_of_every_slope_up_to_sixty():
+    # F = 0.(1w0)^oo on the plateau [0.0(w01)^oo, 0.0(w10)^oo], of length
+    # 1/(2(2^q - 1)) as w01 and w10 differ by one in their last two
+    # digits.  Summed over the phi(q) slopes of each q, the lengths make
+    # half a partial sum of the Lambert series sum phi(q)/(2^q - 1) = 1
+    # (q >= 2), so they tend to 1/2.
+    total, totients = Fr(0), {}
+    for q in range(2, 61):
+        for p in range(1, q):
+            if gcd(p, q) != 1:
+                continue
+            totients[q] = totients.get(q, 0) + 1
+            w = central_from_slope(p, q).word
+            lo, hi = Seq("0", w + "01").value(), Seq("0", w + "10").value()
+            answer = Seq("", "1" + w + "0").value()
+            for x in (lo, hi, (lo + hi) / 2):
+                assert F(x).F == answer, (p, q, x)
+            assert hi - lo == Fr(1, 2 * (2 ** q - 1)), (p, q)
+            total += hi - lo
+    assert sum(totients.values()) == 1101
+    assert total == Fr(1, 2) * sum(Fr(t, 2 ** q - 1)
+                                   for q, t in totients.items())
+    assert 0 < Fr(1, 2) - total < Fr(1, 2 ** 50)
 
 
 # -- exhaustive self-consistency sweep --------------------------------------------

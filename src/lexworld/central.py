@@ -5,7 +5,7 @@ len + 2 = ell + m.  Central words are exactly the palindromic prefixes of
 characteristic sequences, the images of the iterated palindromic closure,
 and the words w such that 0w1 and 1w0 are balanced.  This module
 recognises them and constructs them from a slope, as pal of the
-directive read off its continued fraction, a directive run at a time,
+directive read off Euclid's quotients of the slope, a run at a time,
 returning a certificate that carries the whole structure: the directive
 word and the standard factorisation.
 """
@@ -232,9 +232,23 @@ def extremal_rotations(w: str) -> tuple[str, str]:
     return w[lo:] + w[:lo], w[hi:] + w[:hi]
 
 
+def _slope_runs(p: int, q: int) -> Iterator[tuple[str, int]]:
+    """The directive of p/q as runs (x, d), d >= 1, read off Euclid's
+    quotients a1, ..., an (an >= 2): 0^(a1 - 1) 1^a2 0^a3 ... x^(an - 1),
+    the blocks of ``ContinuedFraction.directive_blocks`` (0^(q - 2) if n = 1).
+    """
+    x, d, p, q = "0", q // p - 1, q % p, p  # a1 - 1 zeros open it
+    while p:
+        if d:
+            yield x, d
+        x, (d, p), q = x.translate(_COMPLEMENT), divmod(q, p), p
+    if d > 1:
+        yield x, d - 1  # and an - 1 letters close it
+
+
 def central_from_slope(p: int, q: int) -> CentralCertificate:
-    """The central word of slope p/q: pal of the directive read off the
-    continued fraction of p/q, certified.
+    """The central word of slope p/q: pal of the directive read off
+    Euclid's algorithm on p/q, its continued fraction, certified.
 
     The certificate's two periods come from p and q alone, so they vouch
     for the word without trusting ``pal``: a word with coprime periods
@@ -250,8 +264,7 @@ def central_from_slope(p: int, q: int) -> CentralCertificate:
     if q > EXPANSION_BUDGET:
         raise DomainError(f"slope denominator {numeral(q)} exceeds the "
                           f"budget of {EXPANSION_BUDGET} letters")
-    from .cf import cf_of_rational, directive_from_cf
-    directive = directive_from_cf(cf_of_rational(p, q))
+    directive = "".join(x * d for x, d in _slope_runs(p, q))
     cert = CentralCertificate(pal(directive), directive)
     if (cert.p, cert.q) != (p, q):
         raise InvariantError(f"slope {p}/{q}: constructed word has another slope")

@@ -323,21 +323,23 @@ def expansion(x: Fraction, greater: bool = False) -> Seq:
 #
 # "pre(per)" denotes pre . per^oo; a bare word w is read as w . 0^oo (the
 # terminating-expansion convention).  Printing always uses the pre(per)
-# spelling of the canonical form.
+# spelling of the canonical form.  The patterns are kept as strings: re's
+# cache compiles each on its first use, so a start that parses no text
+# compiles none of them.
 
 # SEQ ::= [01]* ("(" [01]+ ")")?
-_SEQ = re.compile(r"([01]*)(?:\(([01]+)\))?")
+_SEQ = r"([01]*)(?:\(([01]+)\))?"
 # Longest start of a text that some SEQ continues: its end is the first
 # index at which a malformed text goes wrong.
-_SEQ_START = re.compile(r"[01]*(?:\((?:[01]+\)?)?)?")
+_SEQ_START = r"[01]*(?:\((?:[01]+\)?)?)?"
 
 
 def parse_seq(text: str) -> Seq:
     """Read ``pre(per)`` or a bare word; a ParseError names the first
     offending position."""
-    match = _SEQ.fullmatch(text)
+    match = re.fullmatch(_SEQ, text)
     if match is None:
-        i = _SEQ_START.match(text).end()
+        i = re.match(_SEQ_START, text).end()
         if i == len(text):
             raise ParseError("sequence ends early", i)
         raise ParseError(f"invalid character {text[i]!r} in sequence", i)
@@ -346,17 +348,17 @@ def parse_seq(text: str) -> Seq:
 
 
 # RATIONAL ::= "-"? DIGITS ("/" DIGITS)?     DIGITS ::= [0-9]+   (ASCII only)
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
 # Longest start of a text that some RATIONAL continues: its end is the
 # first index at which a malformed text goes wrong.
-_RATIONAL_START = re.compile(r"-?(?:[0-9]+(?:/[0-9]*)?)?")
+_RATIONAL_START = r"-?(?:[0-9]+(?:/[0-9]*)?)?"
 
 
 def parse_rational(text: str) -> Fraction:
     """Read ``a`` or ``a/b`` (ASCII digits, optional leading '-', no spaces,
     positive ``b``); a ParseError names the first offending position."""
-    if _RATIONAL.fullmatch(text) is None:
-        i = _RATIONAL_START.match(text).end()
+    if re.fullmatch(_RATIONAL, text) is None:
+        i = re.match(_RATIONAL_START, text).end()
         if i == len(text):
             raise ParseError("rational ends early", i)
         raise ParseError(f"invalid character {text[i]!r} in rational", i)

@@ -179,10 +179,14 @@ def large_quotient_slopes():
 
 
 def test_pal_of_directives_with_long_runs_is_the_floor_word():
+    # central_from_slope reads its directive off Euclid's quotients; the
+    # cf module spells the same one
     for p, q in large_quotient_slopes():
         word = floor_word(p, q)
-        assert pal(directive_from_cf(cf_of_rational(p, q))) == word, (p, q)
-        assert central_from_slope(p, q).word == word, (p, q)
+        directive = directive_from_cf(cf_of_rational(p, q))
+        assert pal(directive) == word, (p, q)
+        cert = central_from_slope(p, q)
+        assert (cert.word, cert.directive) == (word, directive), (p, q)
 
 
 def central_directives_upto(max_len):
@@ -451,13 +455,16 @@ def floor_word(p, q):
 
 def test_central_from_slope_matches_the_floor_word_up_to_150_and_seeded():
     # the floor differences of the mechanical sequence, the library's
-    # original route (a), spell the central word of every slope
+    # original route (a), spell the central word of every slope, and the
+    # directive read off Euclid's quotients is the cf module's
     slopes = [(p, q) for q in range(2, 151) for p in range(1, q)
               if gcd(p, q) == 1]
     assert len(slopes) == 6857
     for p, q in slopes + seeded_slopes():
         cert = central_from_slope(p, q)
         assert cert.word == floor_word(p, q), (p, q)
+        assert cert.directive == directive_from_cf(cf_of_rational(p, q)), \
+            (p, q)
         assert (cert.p, cert.q) == (p, q)
         assert_read_off_fields_hold(cert)
 

@@ -211,6 +211,37 @@ def test_f_oracle_check_agrees(capsys, x):
     assert out.endswith("oracle_agrees = true\n")
 
 
+def test_f_oracle_check_accepts_an_answer_past_its_period_bound(capsys):
+    # F(1/3) = 0.(10)^oo has period 2; the oracle, seeing period 1 only,
+    # returns (1), which lies strictly above it as it must
+    code, out, _ = invoke(capsys, "F", "1/3", "--check", "1")
+    assert code == 0
+    assert "F = 2/3\n" in out
+    assert out.endswith("oracle_agrees = true\n")
+
+
+def test_phi_oracle_check_accepts_an_answer_past_its_period_bound(capsys):
+    code, out, _ = invoke(capsys, "phi", "(1100)", "--check", "2")
+    assert code == 0
+    assert out.startswith("phi = (110)\n")
+    assert out.endswith("oracle_agrees = true\n")
+
+
+@pytest.mark.parametrize("check,found", [("6", "1"), ("2", "10"), ("2", "110")],
+                         ids=["above-a-fitting-answer", "below-the-answer",
+                              "equal-past-the-bound"])
+def test_phi_oracle_check_disagreement_exits_1(capsys, monkeypatch, check,
+                                               found):
+    # phi((1100)) = (110): within the bound the oracle must return it, past
+    # the bound something strictly above it
+    from lexworld import oracle
+    from lexworld.words import Seq
+    monkeypatch.setattr(oracle, "brute_phi", lambda u, cfg: Seq("", found))
+    code, out, _ = invoke(capsys, "phi", "(1100)", "--check", check)
+    assert code == 1
+    assert out.endswith("oracle_agrees = false\n")
+
+
 def test_phi_symbolic_directive(capsys):
     code, out, _ = invoke(capsys, "phi", "--directive", "(01)", "-n", "12")
     assert code == 0
@@ -553,8 +584,10 @@ _NO_MECHANICAL = (*_NO_FRACTIONS, "lexworld.mechanical")
     (["verify", "(1100)", "(10)"], _NO_MECHANICAL),
     (["phi-prefix", "0100101"], _NO_MECHANICAL),
     (["phi", "--directive", "(01)", "-n", "8"], ("fractions", "lexworld.cf")),
+    (["central-make", "5/13"], ("lexworld.cf", "lexworld.lexmap",
+                                "lexworld.mechanical")),
 ], ids=["F", "pal", "mech", "closure", "central-check", "phi", "classify",
-        "verify", "phi-prefix", "phi-directive"])
+        "verify", "phi-prefix", "phi-directive", "central-make"])
 def test_import_loads_neither_dataclasses_nor_inspect(argv, unused):
     # Every CLI call pays for the import, and these modules (with the ast,
     # dis and tokenize modules that inspect pulls in) are slow to load; the
@@ -571,6 +604,30 @@ def test_import_loads_neither_dataclasses_nor_inspect(argv, unused):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_first_library_calls_leave_cf_unloaded():
+    # `import lexworld` and one call of each of phi_zero_u, phi,
+    # phi_prefix, F, central_from_slope and phi_sturmian: the continued
+    # fraction module is never compiled on the way, as central_from_slope
+    # reads its directive off Euclid's algorithm itself.
+    import lexworld
+    src = os.path.dirname(os.path.dirname(lexworld.__file__))
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "import lexworld as lw\n"
+            "lw.phi_zero_u(lw.Seq('', '010010011'))\n"
+            "lw.phi(lw.Seq('0', '1100'))\n"
+            "lw.phi_prefix('010010101')\n"
+            "lw.F(Fraction(2, 5))\n"
+            "lw.central_from_slope(5, 13)\n"
+            "lw.phi_sturmian(lw.Seq('', '01')).phi_value_prefix(32)\n"
+            "print('lexworld.cf' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_module_entry_point_runs():

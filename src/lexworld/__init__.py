@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # package namespace, so `import lexworld`, and with it every
 # `python -m lexworld` start, loads only the modules the caller uses.
 _EXPORTS = {
-    "cf": "ContinuedFraction cf_of_rational directive_from_cf",
+    "cf": "cf_of_rational directive_from_cf",
     "central": "CentralCertificate central_from_slope closure_chain "
                "extremal_rotations is_balanced is_central pal "
                "palindromic_closure",

@@ -235,7 +235,7 @@ def extremal_rotations(w: str) -> tuple[str, str]:
 def _slope_runs(p: int, q: int) -> Iterator[tuple[str, int]]:
     """The directive of p/q as runs (x, d), d >= 1, read off Euclid's
     quotients a1, ..., an (an >= 2): 0^(a1 - 1) 1^a2 0^a3 ... x^(an - 1),
-    the blocks of ``ContinuedFraction.directive_blocks`` (0^(q - 2) if n = 1).
+    the blocks of ``cf.directive_from_cf`` (0^(q - 2) if n = 1).
     """
     x, d, p, q = "0", q // p - 1, q % p, p  # a1 - 1 zeros open it
     while p:

@@ -9,6 +9,7 @@ phi-prefix query that the given prefix does not decide.
 
 from __future__ import annotations
 
+import os
 import sys
 
 from .errors import DomainError
@@ -157,8 +158,7 @@ def _phi(seq, check, directive, n):
     ]
     if check is not None:
         from . import oracle  # only --check and the oracle command use it
-        cfg = oracle.SweepConfig(max_period=check)
-        found = oracle.brute_phi(u, cfg)
+        found = oracle.brute_phi(u, oracle.SweepConfig(check))
         lines.append(("oracle_agrees",
                       _oracle_agrees(res.phi, check, found, res.phi)))
     return lines
@@ -187,8 +187,7 @@ def _f(x, check):
         ]
     if check is not None:
         from . import oracle
-        cfg = oracle.SweepConfig(max_period=check)
-        found = oracle.brute_F(x, cfg)
+        found = oracle.brute_F(x, oracle.SweepConfig(check))
         lines.append(("oracle_agrees",
                       _oracle_agrees(res.phi_expansion, check, found, res.F)))
     return lines
@@ -205,8 +204,8 @@ def _verify(seq, bound):
 
 def _oracle_phi(seq, max_period):
     from . import oracle
-    cfg = oracle.SweepConfig(max_period=max_period)
-    return [("phi", oracle.brute_phi(parse_seq(seq), cfg))]
+    return [("phi", oracle.brute_phi(parse_seq(seq),
+                                     oracle.SweepConfig(max_period)))]
 
 
 # -- the command table ------------------------------------------------------
@@ -374,16 +373,24 @@ def _help(name: str | None) -> str:
 def run(argv: list[str]) -> int:
     try:
         args = parse(argv)
-        if "help" in args:
-            print(_help(args["help"]))
-            return EXIT_OK
-        as_json = args.pop("emit") == "json"
-        lines = COMMANDS[args.pop("command")][3](**args)
+        if "help" not in args:
+            as_json = args.pop("emit") == "json"
+            lines = COMMANDS[args.pop("command")][3](**args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _emit(lines, as_json)
-    return _exit_code(lines)
+    try:
+        if "help" in args:
+            print(_help(args["help"]))
+        else:
+            _emit(lines, as_json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point fd 1 at devnull so that
+        # the interpreter's own flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    return EXIT_OK if "help" in args else _exit_code(lines)
 
 
 def main() -> None:

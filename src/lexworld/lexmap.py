@@ -260,9 +260,9 @@ def phi_zero_u(u: Seq) -> PhiResult:
     if cls.kind == KIND_CPB:
         w = u.per[:-2]
         cert = is_central(w)
-        if cert is None or u.pre or u.per not in (w + "01", w + "10"):
-            raise InvariantError(f"u = {u} is not (w01)^oo or (w10)^oo "
-                                 f"for a central w = {w!r}")
+        if cert is None:
+            raise InvariantError(f"u = {u} is characteristic, but is_central "
+                                 f"refuses w = {w!r}")
         trace.append(
             f"characteristic periodic input of slope {cls.p}/{cls.q} "
             f"({cls.variant}); phi = (1{w}0)^oo")
@@ -362,14 +362,11 @@ class SturmianPhi(Value):
     def symbolic(self) -> str:
         return f"1*Pal({self.directive})"
 
-    def u_prefix(self, n: int) -> str:
-        from .mechanical import characteristic_sturmian_prefix
-        return characteristic_sturmian_prefix(self.directive, n)
-
     def phi_value_prefix(self, n: int) -> str:
+        from .mechanical import characteristic_sturmian_prefix
         if n < 1:
             raise DomainError("prefix length must be positive")
-        return ("1" + self.u_prefix(n))[:n]
+        return ("1" + characteristic_sturmian_prefix(self.directive, n))[:n]
 
     def slope_cf(self, count: int) -> tuple[int, ...]:
         """First ``count`` partial quotients [a1, a2, ...] of the slope,

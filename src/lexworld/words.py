@@ -139,9 +139,6 @@ class Seq(Value):
         reps = (n - len(self.pre)) // len(self.per) + 1
         return (self.pre + self.per * reps)[:n]
 
-    def starts_with(self, w: str) -> bool:
-        return self.prefix(len(w)) == w
-
     # -- structure ------------------------------------------------------
 
     def shift(self, k: int = 1) -> "Seq":

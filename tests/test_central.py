@@ -709,5 +709,6 @@ def test_characteristic_prefix_property_up_to_twelve():
         if "0" in v and "1" in v:
             cert = is_central(v)
             v1, v2 = cert.w1, cert.w2
-            assert Seq("", v2 + "10").starts_with(v + "01" + v2)
-            assert Seq("", v1 + "01").starts_with(v + "10" + v1)
+            for head, per in ((v + "01" + v2, v2 + "10"),
+                              (v + "10" + v1, v1 + "01")):
+                assert Seq("", per).prefix(len(head)) == head

@@ -362,6 +362,29 @@ def test_domain_error_exit_code(capsys):
     assert "digits" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["phi", "0(1101)", "--check", "17"],
+    ["F", "1/3", "--check", "0"],
+    ["oracle", "phi", "(1100)", "--max-period", "17"],
+], ids=["phi-check", "F-check", "oracle-max-period"])
+def test_search_bound_outside_1_to_16_is_refused(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: max_period must lie in 1..16 (exponential search)\n"
+
+
+def test_a_reader_closing_stdout_early_gets_no_traceback():
+    # the 262,144-letter word fills the pipe, so the write after the
+    # reader has gone fails with a broken pipe
+    with subprocess.Popen(
+            [sys.executable, "-m", "lexworld", "central-make", "1/262144"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == b"w"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=30), err) == (1, b"")
+
+
 def test_json_emission(capsys):
     code, out, _ = invoke(capsys, "--emit", "json", "phi", "(1100)")
     assert code == 0

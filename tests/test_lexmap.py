@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lexworld import lexmap
 from lexworld.central import (central_from_slope, is_central,
                               palindromic_closure)
 from lexworld.errors import DomainError, InvariantError
-from lexworld.lexmap import (Case, F, FResult, SturmianPhi, classify,
+from lexworld.lexmap import (Case, F, FResult, PhiResult, SturmianPhi,
+                             VerifyReport, classify,
                              lex_world_member, phi, phi_prefix, phi_sturmian,
                              phi_zero_u, sigma_member, verify_phi, KIND_ALL_ONE,
                              KIND_ALL_ZERO, KIND_CPB, KIND_GENERIC,
@@ -152,6 +154,36 @@ def test_results_are_immutable_values():
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         assert not hasattr(record, "__dict__")
+
+
+# -- answer guards -------------------------------------------------------------
+
+def test_an_answer_failing_verification_is_refused(monkeypatch):
+    monkeypatch.setattr(lexmap, "verify_phi",
+                        lambda u, b: VerifyReport(False, 1, ("shift 0 fails",)))
+    with pytest.raises(InvariantError, match="failed verification: shift 0 fails"):
+        phi_zero_u(Seq("", "1100"))
+
+
+def test_characteristic_input_without_a_central_certificate_is_refused(
+        monkeypatch):
+    # classify finds (01001) characteristic by its periods; is_central
+    # must then certify w = 010
+    assert classify(Seq("", "01001")).kind == KIND_CPB
+    monkeypatch.setattr(lexmap, "is_central", lambda w: None)
+    with pytest.raises(InvariantError, match="is_central refuses w = '010'"):
+        phi_zero_u(Seq("", "01001"))
+
+
+@pytest.mark.parametrize("case,v,message", [
+    (Case.IV, None, "exceeds x \\+ 1/2 in the characteristic case"),
+    (Case.V_A, "0", "fails the strict bound below x \\+ 1/2"),
+], ids=["case-iv", "longest-central-prefix"])
+def test_f_refuses_an_answer_past_its_bound(monkeypatch, case, v, message):
+    monkeypatch.setattr(lexmap, "phi",
+                        lambda a: PhiResult(ONE, case, None, v, ()))
+    with pytest.raises(InvariantError, match=message):
+        F(Fr(2, 5))
 
 
 # -- verification reports -------------------------------------------------------
@@ -477,7 +509,7 @@ def test_phi_sturmian_golden_ratio_directive():
 
 def test_phi_sturmian_swapped_directive():
     sym = phi_sturmian(Seq("", "10"))
-    assert sym.u_prefix(4) == "1011"
+    assert sym.phi_value_prefix(5) == "1" + "1011"
     assert sym.slope_cf(3) == (1, 1, 1)
 
 
@@ -670,7 +702,7 @@ def reference_longest_central_prefix(u):
     while True:
         c = u.digit(len(v))
         nxt = palindromic_closure(v + c)
-        if not u.starts_with(nxt):
+        if u.prefix(len(nxt)) != nxt:
             return v, dirv
         v, dirv = nxt, dirv + c
 

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from lexworld.cf import ContinuedFraction, cf_of_rational, directive_from_cf
+from lexworld.cf import cf_of_rational, directive_from_cf
 from lexworld.central import central_from_slope, is_balanced, pal
 from lexworld.errors import DomainError
 from lexworld.mechanical import (characteristic_pair,
@@ -113,44 +113,63 @@ def test_characteristic_pair_examples():
 
 # -- continued fractions ------------------------------------------------------
 
+def cf_value(digits):
+    """The rational [0; a1, ..., an]."""
+    x = F(0)
+    for a in reversed(digits):
+        x = 1 / (a + x)
+    return x
+
+
+def alternate(digits):
+    """The other spelling of [0; digits]: [..., an - 1, 1] for an >= 2,
+    else [..., a(n-1) + 1]."""
+    if len(digits) > 1 and digits[-1] == 1:
+        return (*digits[:-2], digits[-2] + 1)
+    return (*digits[:-1], digits[-1] - 1, 1)
+
+
 def test_cf_examples():
-    assert cf_of_rational(2, 5).digits == (2, 2)
-    assert cf_of_rational(1, 2).digits == (2,)
-    assert cf_of_rational(3, 8).digits == (2, 1, 2)
+    assert cf_of_rational(2, 5) == (2, 2)
+    assert cf_of_rational(1, 2) == (2,)
+    assert cf_of_rational(3, 8) == (2, 1, 2)
 
 
 def test_cf_alternate_form():
-    cf = cf_of_rational(2, 5)
-    other = cf.alternate()
-    assert other.digits == (2, 1, 1)
-    assert other.value() == cf.value() == F(2, 5)
-    assert other.alternate() == cf
-    assert cf_of_rational(1, 2).alternate().digits == (1, 1)
+    # both spellings of a slope give it one directive
+    for q in range(2, 40):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                cf = cf_of_rational(p, q)
+                other = alternate(cf)
+                assert other[-1] == 1 and alternate(other) == cf
+                assert cf_value(other) == F(p, q)
+                assert directive_from_cf(other) == directive_from_cf(cf)
 
 
 def test_cf_refuses_a_slope_outside_the_unit_interval():
     with pytest.raises(DomainError, match="0 < p < q"):
         cf_of_rational(3, 2)
-
-
-def test_cf_is_an_immutable_value():
-    cf, same = cf_of_rational(3, 8), ContinuedFraction((2, 1, 2))
-    assert cf == same and hash(cf) == hash(same)
-    assert cf != cf.alternate()
-    with pytest.raises(AttributeError):
-        cf.digits = (2,)
-    for digits in [(), (0, 2), (1,)]:
-        with pytest.raises(DomainError):
-            ContinuedFraction(digits)
+    with pytest.raises(DomainError, match="not coprime"):
+        cf_of_rational(2, 6)
     with pytest.raises(DomainError, match="binary digits"):
         cf_of_rational(2, 2 * 10 ** 5000)
+
+
+@pytest.mark.parametrize("digits,message", [
+    ((), "positive"), ((0, 2), "positive"), ((2, 0), "positive"),
+    ((1,), "not in"),
+])
+def test_directive_from_cf_refuses_a_non_slope(digits, message):
+    with pytest.raises(DomainError, match=message):
+        directive_from_cf(digits)
 
 
 def test_cf_value_round_trip():
     for q in range(2, 40):
         for p in range(1, q):
             if gcd(p, q) == 1:
-                assert cf_of_rational(p, q).value() == F(p, q)
+                assert cf_value(cf_of_rational(p, q)) == F(p, q)
 
 
 @pytest.mark.parametrize("digits,expected", [
@@ -161,7 +180,7 @@ def test_cf_value_round_trip():
     ((1, 1, 2), "10"),    # slope 3/5
 ])
 def test_directive_from_cf_examples(digits, expected):
-    assert directive_from_cf(ContinuedFraction(digits)) == expected
+    assert directive_from_cf(digits) == expected
 
 
 def test_directive_word_reproduces_central_word():
@@ -184,14 +203,14 @@ def reference_characteristic_periodic_via_pal(p, q, variant):
     through ``central_from_slope``; the period's last two letters tell which of
     (w10)^oo and (w01)^oo it must equal.
     """
-    cf = cf_of_rational(p, q)
-    x = "0" if len(cf.directive_blocks()) % 2 == 1 else "1"
+    directive = directive_from_cf(cf_of_rational(p, q))
+    x = directive[-1:] or "0"
     y = "1" if x == "0" else "0"
-    head = directive_from_cf(cf) + (x if variant == "xy" else y)
+    head = directive + (x if variant == "xy" else y)
     tail = y if variant == "xy" else x
     w = pal_prefix(Seq(head, tail), 2 * q + 2)
     result = Seq("", w[:q])
-    assert result.starts_with(w), (p, q, variant)
+    assert result.prefix(len(w)) == w, (p, q, variant)
     assert result.per.endswith(x + y if variant == "xy" else y + x)
     return result
 

@@ -18,7 +18,7 @@ Fr = Fraction
 
 
 PUBLIC = {
-    "cf": "ContinuedFraction cf_of_rational directive_from_cf",
+    "cf": "cf_of_rational directive_from_cf",
     "central": "CentralCertificate central_from_slope closure_chain "
                "extremal_rotations is_balanced is_central pal "
                "palindromic_closure",

@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lexworld.central import central_from_slope, is_central
-from lexworld.cf import ContinuedFraction
 from lexworld.errors import DomainError, InvariantError, ParseError
 from lexworld.lexmap import phi_prefix, phi_sturmian, phi_zero_u
 from lexworld.oracle import SweepConfig
@@ -73,7 +72,6 @@ def test_equal_seqs_hash_equal():
 VALUES = [
     (Seq("1", "010"), "per", ""),
     (is_central("010"), "directive", "10"),
-    (ContinuedFraction((2, 1, 2)), "digits", (0, 2)),
     (phi_sturmian(Seq("", "01")), "directive", Seq("", "0")),
     (SweepConfig(6), "max_period", 17),
 ]

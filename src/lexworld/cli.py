@@ -387,14 +387,25 @@ def run(argv: list[str]) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early.  Point fd 1 at devnull so that
-        # the interpreter's own flush at exit cannot raise again.
+        # a later flush of what the buffer still holds cannot raise again:
+        # main's, or the interpreter's at exit after an in-process caller.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
     return EXIT_OK if "help" in args else _exit_code(lines)
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the command line, flush its output and end the process.
+
+    ``os._exit`` skips the interpreter's teardown, which would only free
+    what the command built.  ``atexit`` handlers do not run either, so
+    code that embeds the CLI calls ``run``.  An exception that escapes
+    ``run`` is reported and exits as usual.
+    """
+    code = run(sys.argv[1:])
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -385,6 +385,89 @@ def test_a_reader_closing_stdout_early_gets_no_traceback():
         assert (proc.wait(timeout=30), err) == (1, b"")
 
 
+def _python(*args, stdout=subprocess.PIPE):
+    """A child interpreter that imports this lexworld, with stdout
+    block-buffered as it is wherever PYTHONUNBUFFERED is unset."""
+    import lexworld
+    src = os.path.dirname(os.path.dirname(lexworld.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60,
+                          env={**env, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["pipe", "file"])
+@pytest.mark.parametrize("argv", [
+    ["central-make", "1/262144"],
+    ["--emit", "json", "F", "2/5"],
+], ids=["central-make", "json-F"])
+def test_block_buffered_output_is_flushed_before_the_process_ends(
+        capsys, tmp_path, argv, to_file):
+    # the process ends with os._exit, which skips the interpreter's own
+    # flush of a block-buffered stdout; main flushes it first
+    _, expected, _ = invoke(capsys, *argv)
+    if to_file:
+        with open(tmp_path / "out", "wb") as out:
+            proc = _python("-m", "lexworld", *argv, stdout=out)
+        proc.stdout = (tmp_path / "out").read_bytes()
+    else:
+        proc = _python("-m", "lexworld", *argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected.encode()
+    if argv[0] == "central-make":  # "w = ", the 262,142 letters, "\n"
+        assert proc.stdout.index(b"\n") + 1 == 262147
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["F", "2/5"], 0, b""),
+    (["F", "3/2"], 1, b"error: F is defined on [0, 1], got 3/2\n"),
+    (["phi-prefix", "0000"], 2, b""),
+], ids=["ok", "error", "undecided"])
+def test_the_process_exits_with_the_code_run_returns(capsys, argv, code, err):
+    in_process, expected, _ = invoke(capsys, *argv)
+    proc = _python("-m", "lexworld", *argv)
+    assert in_process == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, expected.encode(), err)
+
+
+def test_an_exception_escaping_run_is_reported():
+    # the hard exit follows only a code that run returns
+    code = ("import lexworld.cli as cli\n"
+            "from lexworld.errors import InvariantError\n"
+            "def fail(word):\n"
+            "    raise InvariantError('planted')\n"
+            "cli.COMMANDS['pal'] = (*cli.COMMANDS['pal'][:3], fail)\n"
+            "cli.main()\n")
+    proc = _python("-c", code, "pal", "011")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"Traceback")
+    assert b"InvariantError: planted" in proc.stderr
+
+
+def test_the_process_ends_without_running_atexit_handlers():
+    code = ("import atexit, sys, lexworld.cli\n"
+            "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+            "lexworld.cli.main()\n")
+    proc = _python("-c", code, "pal", "011")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, b"pal = 01010\n", b"")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["F", "2/5"]], ids=["help", "F"])
+def test_a_stdout_closed_before_the_start_gets_no_traceback(argv):
+    # run's flush fails and leaves the output in the buffer, and main
+    # flushes it again before os._exit; run has pointed fd 1 at devnull
+    # by then, so that second flush cannot fail
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python("-m", "lexworld", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_json_emission(capsys):
     code, out, _ = invoke(capsys, "--emit", "json", "phi", "(1100)")
     assert code == 0

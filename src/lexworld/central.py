@@ -4,10 +4,10 @@ A word is *central* when it has two coprime periods ell, m with
 len + 2 = ell + m.  Central words are exactly the palindromic prefixes of
 characteristic sequences, the images of the iterated palindromic closure,
 and the words w such that 0w1 and 1w0 are balanced.  This module
-recognises them and constructs them from a slope, as pal of the
-directive read off Euclid's quotients of the slope, a run at a time,
-returning a certificate that carries the whole structure: the directive
-word and the standard factorisation.
+recognises them by the two periods their slope fixes, and constructs them
+from a slope as pal of the directive read off Euclid's quotients of the
+slope, a run at a time, returning a certificate that carries the whole
+structure: the directive word and the standard factorisation.
 """
 
 from __future__ import annotations
@@ -134,6 +134,18 @@ def _central_periods(w: str) -> tuple[int, int] | None:
     return (ell, m)
 
 
+def _has_slope_periods(w: str) -> bool:
+    """Is ``w`` central?  With p = |w|_1 + 1 and q = |w| + 2 coprime,
+    ell2 = p^-1 (mod q) and ell1 = q - ell2 are coprime and sum to |w| + 2,
+    so a word with both periods is central, and a central word of slope
+    p/q has exactly these two (de Luca and Mignosi 1994)."""
+    p, q = w.count("1") + 1, len(w) + 2
+    if gcd(p, q) != 1:
+        return False
+    ell2 = pow(p, -1, q)
+    return is_period(w, q - ell2) and is_period(w, ell2)
+
+
 class CentralCertificate(Value):
     """A central word with its directive; the rest is read off the word.
 
@@ -141,10 +153,9 @@ class CentralCertificate(Value):
     p - 1 ones.  ``ell1`` + ``ell2`` = q are its coprime periods, ell2*p = 1
     (mod q), and word = w1 01 w2 = w2 10 w1 with |w1| = ell1 - 2 and
     |w2| = ell2 - 2 when both letters occur (else w1 = w2 = None).  The
-    constructor checks what these formulas leave open: binary words,
-    gcd(p, q) = 1, ell1 and ell2 being periods of the word (with
-    gcd(ell1, ell2) = gcd(ell2, q) = 1 and ell1 + ell2 = len(word) + 2,
-    this is the definition of central), pal(directive) == word, and the
+    constructor checks what these formulas leave open: binary words, the
+    word being central (``_has_slope_periods``: gcd(p, q) = 1 and ell1,
+    ell2 periods of the word), pal(directive) == word, and the
     factorisation.  Instances are immutable.
     """
 
@@ -156,9 +167,7 @@ class CentralCertificate(Value):
         # strip("01") leaves a non-binary letter or nothing
         ok = (isinstance(word, str) and isinstance(directive, str)
               and not (word + directive).strip("01")
-              and gcd(self.p, self.q) == 1
-              and is_period(word, self.ell1) and is_period(word, self.ell2)
-              and pal(directive) == word)
+              and _has_slope_periods(word) and pal(directive) == word)
         if ok and self.w1 is not None:
             ok = word == self.w1 + "01" + self.w2 == self.w2 + "10" + self.w1
         if not ok:
@@ -176,17 +185,14 @@ class CentralCertificate(Value):
 def is_central(w: str) -> CentralCertificate | None:
     """Full certificate if ``w`` is central, else None.
 
-    A word's central prefixes form one closure chain, so ``w`` is central
-    exactly when the chain walked along it reaches its end; the walk's
-    letters are the directive, and the certificate checks the rest.
+    ``w`` is central exactly when it has the two periods its slope p/q
+    fixes (``_has_slope_periods``); its directive is then that of p/q,
+    read off Euclid's algorithm, and the certificate checks the rest.
     """
     check_word(w)
-    n, directive = 0, ""
-    for piece, x, _ in closure_chain(prefixes_of=w):
-        n += len(piece)
-        directive += x
-    if n != len(w):
+    if not _has_slope_periods(w):
         return None
+    directive = _slope_directive(w.count("1") + 1, len(w) + 2)
     return CentralCertificate(w, directive)
 
 
@@ -232,18 +238,16 @@ def extremal_rotations(w: str) -> tuple[str, str]:
     return w[lo:] + w[:lo], w[hi:] + w[:hi]
 
 
-def _slope_runs(p: int, q: int) -> Iterator[tuple[str, int]]:
-    """The directive of p/q as runs (x, d), d >= 1, read off Euclid's
-    quotients a1, ..., an (an >= 2): 0^(a1 - 1) 1^a2 0^a3 ... x^(an - 1),
-    the blocks of ``cf.directive_from_cf`` (0^(q - 2) if n = 1).
+def _slope_directive(p: int, q: int) -> str:
+    """The directive of p/q, read off Euclid's quotients a1, ..., an
+    (an >= 2): 0^(a1 - 1) 1^a2 0^a3 ... x^(an - 1), the blocks of
+    ``cf.directive_from_cf`` (0^(q - 2) if n = 1).
     """
-    x, d, p, q = "0", q // p - 1, q % p, p  # a1 - 1 zeros open it
+    directive, x, d, p, q = "", "0", q // p - 1, q % p, p  # a1 - 1 zeros
     while p:
-        if d:
-            yield x, d
+        directive += x * d
         x, (d, p), q = x.translate(_COMPLEMENT), divmod(q, p), p
-    if d > 1:
-        yield x, d - 1  # and an - 1 letters close it
+    return directive + x * (d - 1)  # and an - 1 letters close it
 
 
 def central_from_slope(p: int, q: int) -> CentralCertificate:
@@ -264,7 +268,7 @@ def central_from_slope(p: int, q: int) -> CentralCertificate:
     if q > EXPANSION_BUDGET:
         raise DomainError(f"slope denominator {numeral(q)} exceeds the "
                           f"budget of {EXPANSION_BUDGET} letters")
-    directive = "".join(x * d for x, d in _slope_runs(p, q))
+    directive = _slope_directive(p, q)
     cert = CentralCertificate(pal(directive), directive)
     if (cert.p, cert.q) != (p, q):
         raise InvariantError(f"slope {p}/{q}: constructed word has another slope")

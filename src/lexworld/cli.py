@@ -63,17 +63,10 @@ def _exit_code(lines: list[tuple[str, object]]) -> int:
     return EXIT_OK
 
 
-def _cert_lines(cert, factors: bool = False) -> list[tuple[str, object]]:
-    lines: list[tuple[str, object]] = [
-        ("p", cert.p),
-        ("q", cert.q),
-        ("periods", f"{cert.ell1},{cert.ell2}"),
-        ("directive", cert.directive),
-    ]
-    if factors and cert.w1 is not None:
-        lines.append(("w1", cert.w1))
-        lines.append(("w2", cert.w2))
-    return lines
+def _cert_lines(cert) -> list[tuple[str, object]]:
+    return [("p", cert.p), ("q", cert.q),
+            ("periods", f"{cert.ell1},{cert.ell2}"),
+            ("directive", cert.directive)]
 
 
 # -- handlers: each imports the modules it runs and returns the facts -------
@@ -93,7 +86,9 @@ def _central_check(word):
     cert = is_central(word)
     lines: list[tuple[str, object]] = [("central", cert is not None)]
     if cert is not None:
-        lines += _cert_lines(cert, factors=True)
+        lines += _cert_lines(cert)
+        if cert.w1 is not None:
+            lines += [("w1", cert.w1), ("w2", cert.w2)]
     return lines
 
 
@@ -379,6 +374,8 @@ def run(argv: list[str]) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if sys.stdout is None:  # started with fd 1 closed: nowhere to write
+        return EXIT_ERROR
     try:
         if "help" in args:
             print(_help(args["help"]))
@@ -403,8 +400,9 @@ def main() -> None:
     ``run`` is reported and exits as usual.
     """
     code = run(sys.argv[1:])
-    sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when its fd was closed at the start
+            stream.flush()
     os._exit(code)
 
 

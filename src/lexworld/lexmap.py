@@ -77,7 +77,7 @@ def classify(u: Seq) -> Classification:
         return Classification(KIND_ALL_ZERO)
     if u == ONE:
         return Classification(KIND_ALL_ONE)
-    if u.purely_periodic and len(u.per) >= 2:
+    if not u.pre and len(u.per) >= 2:
         c = u.per
         tail = c[-2:]
         if tail in ("01", "10") and _central_periods(c[:-2]) is not None:
@@ -196,13 +196,12 @@ def _longest_central_prefix(u: Seq, trace: list[str]) -> str:
         n *= 2
 
 
-def _case(v: str, w: str, cert_v: CentralCertificate | None = None) -> Case:
+def _case(v: str, w: str, cert_v: CentralCertificate | None) -> Case:
     """The case answering (1w0)^oo from the longest central prefix v: i for
     v in 1*, ii for v in 0*, else v_a, v_b or v_c for w = v, w2 or w1,
-    where v = w1 01 w2 = w2 10 w1 (``cert_v``, if known, certifies v)."""
+    where v = w1 01 w2 = w2 10 w1 (``cert_v`` certifies v)."""
     if len(set(v)) == 1:
         return Case.I if v[0] == "1" else Case.II
-    cert_v = cert_v or is_central(v)
     case = {v: Case.V_A, cert_v.w2: Case.V_B, cert_v.w1: Case.V_C}.get(w)
     if case is None:
         raise InvariantError(f"{w!r} is none of v, w2, w1 for {v!r}")
@@ -272,7 +271,7 @@ def phi_zero_u(u: Seq) -> PhiResult:
     cert_v = is_central(v) if len(set(v)) > 1 else None
     words = (v, cert_v.w2, cert_v.w1) if cert_v is not None else (v[:-1],)
     w = _sandwiching(words, u.prefix(len(u.pre) + len(u.per) + len(v) + 2))
-    cert = None if w is None else is_central(w)
+    cert = cert_v if w == v else None if w is None else is_central(w)
     if cert is None:
         raise InvariantError(f"no central word of {words!r} sandwiches {u}")
     trace.append(f"sandwich around central word {w!r} confirmed")
@@ -329,11 +328,13 @@ def phi_prefix(p_word: str) -> PrefixDecision:
             "strictly sandwiched within the prefix"))
 
     v = candidates[-1]
+    cert_v = is_central(v) if len(set(v)) > 1 else None
+    cert = cert_v if w == v else is_central(w)
     trace = (f"the {n}-letter prefix lies strictly between those of "
              f"({w}01)^oo and ({w}10)^oo",
              "strict sandwich holds for every extension of the prefix")
     return PrefixDecision(True, PhiResult(
-        Seq("", "1" + w + "0"), _case(v, w), is_central(w), v, trace), None)
+        Seq("", "1" + w + "0"), _case(v, w, cert_v), cert, v, trace), None)
 
 
 # -- aperiodic characteristic bounds --------------------------------------
@@ -364,8 +365,6 @@ class SturmianPhi(Value):
 
     def phi_value_prefix(self, n: int) -> str:
         from .mechanical import characteristic_sturmian_prefix
-        if n < 1:
-            raise DomainError("prefix length must be positive")
         return ("1" + characteristic_sturmian_prefix(self.directive, n))[:n]
 
     def slope_cf(self, count: int) -> tuple[int, ...]:

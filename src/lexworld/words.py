@@ -165,10 +165,6 @@ class Seq(Value):
         """
         return [self.shift(k) for k in range(len(self.pre) + len(self.per))]
 
-    @property
-    def purely_periodic(self) -> bool:
-        return not self.pre
-
     # -- order and value ------------------------------------------------
 
     def compare(self, other: "Seq") -> int:

@@ -622,10 +622,87 @@ def test_directive_round_trip():
         assert pal(is_central(w).directive) == w
 
 
-def test_directive_of_long_constant_word_within_time_bound():
+def assert_recognised_within_a_quarter_second(word, directive):
+    # the word is read by two slice comparisons and rebuilt by pal a run
+    # at a time, with no letter walk along it
     t0 = time.perf_counter()
-    assert is_central("0" * 40000).directive == "0" * 40000
-    assert time.perf_counter() - t0 < 5
+    assert is_central(word).directive == directive
+    assert time.perf_counter() - t0 < 0.25
+
+
+def test_directive_of_long_constant_word_within_time_bound():
+    assert_recognised_within_a_quarter_second("0" * 2 ** 20, "0" * 2 ** 20)
+
+
+def test_directive_of_long_fibonacci_word_within_time_bound():
+    cert = central_from_slope(832040, 1346269)
+    assert cert.directive == "10" * 14
+    assert_recognised_within_a_quarter_second(cert.word, cert.directive)
+
+
+def walked_directive(word):
+    """The letters of the closure chain walked along ``word``, or None if
+    the walk stops short of its end: the reference recogniser."""
+    n, directive = 0, ""
+    for piece, x, _ in closure_chain(prefixes_of=word):
+        n += len(piece)
+        directive += x
+    return directive if n == len(word) else None
+
+
+def certified_directive(word):
+    cert = is_central(word)
+    if cert is None:
+        return None
+    assert cert.word == word
+    return cert.directive
+
+
+def test_is_central_is_the_chain_walk_up_to_sixteen():
+    count = 0
+    for n in range(17):
+        for bits in product("01", repeat=n):
+            w = "".join(bits)
+            assert certified_directive(w) == walked_directive(w), w
+            count += 1
+    assert count == 2 ** 17 - 1
+
+
+def test_is_central_is_the_chain_walk_on_seeded_long_words():
+    # central words of seeded slopes with q < 2 * 10**5, each with five
+    # one-letter flips, both one-letter extensions and its last letter cut
+    rng = random.Random(20261021)
+    for _ in range(100):
+        q = rng.randrange(3, 2 * 10 ** 5)
+        p = rng.randrange(1, q)
+        while gcd(p, q) != 1:
+            p = rng.randrange(1, q)
+        w = central_from_slope(p, q).word
+        words = [w, w + "0", w + "1", w[:-1]]
+        for j in (rng.randrange(len(w)) for _ in range(5 if w else 0)):
+            words.append(w[:j] + "10"[int(w[j])] + w[j + 1:])
+        for x in words:
+            assert certified_directive(x) == walked_directive(x), (p, q)
+
+
+def test_recognition_and_construction_need_no_walk(monkeypatch):
+    # closure_chain's walk mode serves only the longest central prefix;
+    # is_central and central_from_slope answer with it made to fail
+    chain = central.closure_chain
+
+    def directive_only(directive=None, *, prefixes_of=None):
+        if prefixes_of is not None:
+            raise AssertionError("closure_chain walked a word")
+        return chain(directive)
+
+    monkeypatch.setattr(central, "closure_chain", directive_only)
+    with pytest.raises(AssertionError):
+        list(central.closure_chain(prefixes_of="010"))
+    assert is_central("010010").directive == "010"
+    assert is_central("0" * 1000).directive == "0" * 1000
+    assert is_central("0110") is None
+    assert central_from_slope(5, 13).word == "01001010010"
+    assert is_central(central_from_slope(5, 13).word).directive == "0101"
 
 
 # -- rotations ---------------------------------------------------------------

@@ -385,13 +385,14 @@ def test_a_reader_closing_stdout_early_gets_no_traceback():
         assert (proc.wait(timeout=30), err) == (1, b"")
 
 
-def _python(*args, stdout=subprocess.PIPE):
+def _python(*args, stdout=subprocess.PIPE, command=(sys.executable,)):
     """A child interpreter that imports this lexworld, with stdout
-    block-buffered as it is wherever PYTHONUNBUFFERED is unset."""
+    block-buffered as it is wherever PYTHONUNBUFFERED is unset; a shell
+    ``command`` may start it."""
     import lexworld
     src = os.path.dirname(os.path.dirname(lexworld.__file__))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.run([sys.executable, *args], stdout=stdout,
+    return subprocess.run([*command, *args], stdout=stdout,
                           stderr=subprocess.PIPE, timeout=60,
                           env={**env, "PYTHONPATH": src})
 
@@ -466,6 +467,18 @@ def test_a_stdout_closed_before_the_start_gets_no_traceback(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["F", "2/5"], b""),
+    (["F", "3/2"], b"error: F is defined on [0, 1], got 3/2\n"),
+], ids=["answer", "error"])
+def test_a_process_started_with_fd_1_closed_exits_quietly(argv, err):
+    # with fd 1 closed the interpreter sets sys.stdout to None: run has
+    # nowhere to write the answer, and main flushes only stderr
+    shell = ("sh", "-c", 'exec "$0" -m lexworld "$@" >&-', sys.executable)
+    proc = _python(*argv, command=shell)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", err)
 
 
 def test_json_emission(capsys):

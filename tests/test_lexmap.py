@@ -485,12 +485,13 @@ def test_case_table_refuses_a_word_outside_the_analysis():
     v = "010010"  # = w1 01 w2 = w2 10 w1 with w1 = "010", w2 = "0"
     cert = is_central(v)
     assert (cert.w1, cert.w2) == ("010", "0")
-    assert [_case(v, w) for w in (v, "0", "010")] == \
+    assert [_case(v, w, cert) for w in (v, "0", "010")] == \
         [Case.V_A, Case.V_B, Case.V_C]
-    assert (_case("111", "11"), _case("00", "0")) == (Case.I, Case.II)
+    assert (_case("111", "11", is_central("111")),
+            _case("00", "0", is_central("00"))) == (Case.I, Case.II)
     for w in ("", "01", "0100", "010010010"):
         with pytest.raises(InvariantError):
-            _case(v, w)
+            _case(v, w, cert)
 
 
 # -- symbolic aperiodic results ---------------------------------------------------

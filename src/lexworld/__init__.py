@@ -20,12 +20,10 @@ _EXPORTS = {
                "palindromic_closure",
     "errors": "DomainError InvariantError ParseError",
     "lexmap": "Case Classification F FResult PhiResult PrefixDecision "
-              "SturmianPhi VerifyReport classify lex_world_member phi "
-              "phi_prefix phi_sturmian phi_zero_u sigma_member verify_phi",
-    "mechanical": "characteristic_pair characteristic_sturmian_prefix "
-                  "mech_lower mech_periodic mech_upper",
-    "oracle": "SweepConfig brute_F brute_phi brute_verify_phi "
-              "enumerate_central naive_balance sandwich_census",
+              "SturmianPhi VerifyReport classify phi phi_prefix "
+              "phi_sturmian phi_zero_u verify_phi",
+    "mechanical": "characteristic_sturmian_prefix mech_periodic",
+    "oracle": "SweepConfig brute_F brute_phi",
     "words": "EQ GT LT ONE ZERO Seq check_word expansion minimal_period "
              "parse_rational parse_seq",
 }

@@ -149,17 +149,6 @@ def verify_phi(u: Seq, b: Seq) -> VerifyReport:
     return VerifyReport(not failures, checks, tuple(failures))
 
 
-def sigma_member(s: Seq, lo: Seq, hi: Seq) -> bool:
-    """Do all shifts of ``s`` lie in [lo, hi] lexicographically?"""
-    return all(lo <= least and greatest <= hi
-               for least, greatest in _shift_extremes(s))
-
-
-def lex_world_member(x: Seq, y: Seq) -> bool:
-    """Is Sigma(x, y) nonempty?  Equivalent to y >= phi(x)."""
-    return y >= phi(x).phi
-
-
 def _longest_central_prefix(u: Seq, trace: list[str]) -> str:
     """The longest central prefix of ``u``.
 

@@ -1,41 +1,19 @@
 """Mechanical sequences with exact rational slope and intercept.
 
-The lower (floor) and upper (ceiling) digit formulas are evaluated in
-exact arithmetic; rational slopes give purely periodic sequences and the
-characteristic ones tie back to central words and directive words.
-Irrational slopes are never materialised: they enter only through
-directive sequences, whose block lengths encode the continued fraction.
+A rational slope gives a purely periodic sequence, built one period at
+a time by integer floor division.  Irrational slopes are never
+materialised: they enter only through directive sequences, whose block
+lengths encode the continued fraction.
 """
 
 from __future__ import annotations
 
 from itertools import count, pairwise
-from math import ceil, floor, gcd
+from math import gcd
 
-from .central import central_from_slope, closure_chain
+from .central import closure_chain
 from .errors import DomainError
 from .words import EXPANSION_BUDGET, Seq, numeral
-
-
-def _check_params(alpha: Fraction, rho: Fraction, n: int) -> None:
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"slope must lie in [0, 1], got {numeral(alpha)}")
-    if not 0 <= rho <= 1:
-        raise DomainError(f"intercept must lie in [0, 1], got {numeral(rho)}")
-    if n < 0:
-        raise DomainError("index must be nonnegative")
-
-
-def mech_lower(alpha: Fraction, rho: Fraction, n: int) -> int:
-    """floor((n+1) alpha + rho) - floor(n alpha + rho)."""
-    _check_params(alpha, rho, n)
-    return floor((n + 1) * alpha + rho) - floor(n * alpha + rho)
-
-
-def mech_upper(alpha: Fraction, rho: Fraction, n: int) -> int:
-    """ceil((n+1) alpha + rho) - ceil(n alpha + rho)."""
-    _check_params(alpha, rho, n)
-    return ceil((n + 1) * alpha + rho) - ceil(n * alpha + rho)
 
 
 def mech_periodic(p: int, q: int, rho: Fraction | int = 0,
@@ -59,23 +37,13 @@ def mech_periodic(p: int, q: int, rho: Fraction | int = 0,
                           f"{EXPANSION_BUDGET} digits")
     from fractions import Fraction
     rho = Fraction(rho)
-    _check_params(Fraction(p, q), rho, 0)
+    if not 0 <= rho <= 1:
+        raise DomainError(f"intercept must lie in [0, 1], got {numeral(rho)}")
     a, c, d = p * rho.denominator, rho.numerator * q, q * rho.denominator
     sign = -1 if upper else 1
     levels = (sign * (sign * (n * a + c) // d) for n in range(q + 1))
     digits = bytes(b"01"[hi - lo] for lo, hi in pairwise(levels))
     return Seq("", digits.decode())
-
-
-def characteristic_pair(p: int, q: int) -> tuple[Seq, Seq]:
-    """((w10)^oo, (w01)^oo) for the central word w of slope p/q.
-
-    These are the two sequences of slope p/q whose intercept equals the
-    slope; they are shifts of the zero-intercept sequences and of each
-    other.
-    """
-    w = central_from_slope(p, q).word
-    return Seq("", w + "10"), Seq("", w + "01")
 
 
 def pal_prefix(delta: Seq, min_len: int) -> str:

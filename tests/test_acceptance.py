@@ -14,11 +14,11 @@ from lexworld.cf import cf_of_rational, directive_from_cf
 from lexworld.central import (central_from_slope, is_central, pal,
                               palindromic_closure)
 from lexworld.lexmap import Case, F, phi_prefix, phi_zero_u, verify_phi
-from lexworld.mechanical import (characteristic_pair,
-                                 characteristic_sturmian_prefix, mech_periodic)
-from lexworld.oracle import (SweepConfig, brute_F, brute_phi,
-                             enumerate_central, sandwich_census)
+from lexworld.mechanical import characteristic_sturmian_prefix, mech_periodic
+from lexworld.oracle import SweepConfig, brute_F, brute_phi
 from lexworld.words import Seq
+from reference import (all_canonical_seqs, central_words_upto,
+                       characteristic_pair, enumerate_central, sandwich_census)
 
 Fr = Fraction
 FIB_DIRECTIVE = Seq("", "01")
@@ -27,30 +27,6 @@ FIB_DIRECTIVE = Seq("", "01")
 def report(number, name, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {number} [{name}]: PASS{suffix}")
-
-
-def canonical_sweep(max_pre, max_per):
-    seen = set()
-    for plen in range(1, max_per + 1):
-        for per in product("01", repeat=plen):
-            for prelen in range(0, max_pre + 1):
-                for pre in product("01", repeat=prelen):
-                    u = Seq("".join(pre), "".join(per))
-                    if u not in seen:
-                        seen.add(u)
-                        yield u
-
-
-def central_words_upto(max_len):
-    out, stack = [], [""]
-    while stack:
-        w = stack.pop()
-        out.append(w)
-        for c in "01":
-            nxt = palindromic_closure(w + c)
-            if len(nxt) <= max_len:
-                stack.append(nxt)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +68,7 @@ def test_criterion_2_oracle_equivalence_sweep():
     start = time.monotonic()
     cfg = SweepConfig(max_period=8)
     count = 0
-    for u in canonical_sweep(2, 6):
+    for u in all_canonical_seqs(2, 6):
         assert phi_zero_u(u).phi == brute_phi(u, cfg), u
         count += 1
     elapsed = time.monotonic() - start
@@ -182,7 +158,7 @@ def test_criterion_6_verification_suite():
         assert sandwich_census(u, census_len) == [res.central.word]
         checked += 1
     # the exhaustive sweep of criterion 2
-    for u in canonical_sweep(2, 6):
+    for u in all_canonical_seqs(2, 6):
         res = phi_zero_u(u)
         assert verify_phi(u, res.phi).passed, u
         if res.central is not None and len(res.central.word) <= census_len - 2:

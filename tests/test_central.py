@@ -16,26 +16,8 @@ from lexworld.central import (CentralCertificate, _central_periods,
 from lexworld.cf import cf_of_rational, directive_from_cf
 from lexworld.errors import DomainError, InvariantError
 from lexworld.mechanical import mech_periodic
-from lexworld.oracle import enumerate_central
 from lexworld.words import EXPANSION_BUDGET, is_period, minimal_period
-
-
-def central_words_upto(max_len):
-    """All central words of length <= max_len, via the closure image.
-
-    The closure map is injective and monotone in length, so a depth-first
-    walk over directives, pruned on length, enumerates each word once.
-    """
-    out = []
-    stack = [""]
-    while stack:
-        w = stack.pop()
-        out.append(w)
-        for c in "01":
-            nxt = palindromic_closure(w + c)
-            if len(nxt) <= max_len:
-                stack.append(nxt)
-    return out
+from reference import central_words_upto, enumerate_central, floor_word
 
 
 # -- balance ----------------------------------------------------------------
@@ -447,10 +429,6 @@ def test_central_from_slope_within_time_bound(p, q, limit, directive):
     cert = central_from_slope(p, q)
     assert time.perf_counter() - t0 < limit
     assert len(cert.word) == q - 2 and cert.directive == directive
-
-
-def floor_word(p, q):
-    return "".join(str((n + 1) * p // q - n * p // q) for n in range(1, q - 1))
 
 
 def test_central_from_slope_matches_the_floor_word_up_to_150_and_seeded():

@@ -725,6 +725,23 @@ def test_import_loads_neither_dataclasses_nor_inspect(argv, unused):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_oracle_phi_loads_only_the_search():
+    # the brute-force search compares Seqs and nothing else of the library
+    import lexworld
+    src = os.path.dirname(os.path.dirname(lexworld.__file__))
+    code = ("import sys, lexworld.cli; "
+            "lexworld.cli.run(['oracle', 'phi', '(1100)']); "
+            "print(sorted(m for m in sys.modules if 'lexworld' in m "
+            "or m in ('fractions', 'decimal')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([
+        "lexworld", "lexworld.cli", "lexworld.errors", "lexworld.oracle",
+        "lexworld.words"])
+
+
 def test_first_library_calls_leave_cf_unloaded():
     # `import lexworld` and one call of each of phi_zero_u, phi,
     # phi_prefix, F, central_from_slope and phi_sturmian: the continued

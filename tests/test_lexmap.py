@@ -14,30 +14,15 @@ from lexworld.central import (central_from_slope, is_central,
                               palindromic_closure)
 from lexworld.errors import DomainError, InvariantError
 from lexworld.lexmap import (Case, F, FResult, PhiResult, SturmianPhi,
-                             VerifyReport, classify,
-                             lex_world_member, phi, phi_prefix, phi_sturmian,
-                             phi_zero_u, sigma_member, verify_phi, KIND_ALL_ONE,
+                             VerifyReport, classify, phi, phi_prefix,
+                             phi_sturmian, phi_zero_u, verify_phi, KIND_ALL_ONE,
                              KIND_ALL_ZERO, KIND_CPB, KIND_GENERIC,
                              _case, _longest_central_prefix, _sandwiching)
 from lexworld.mechanical import mech_periodic
-from lexworld.oracle import brute_verify_phi
 from lexworld.words import LT, EQ, ONE, ZERO, Seq, expansion
+from reference import all_canonical_seqs, brute_verify_phi, floor_word
 
 Fr = Fraction
-
-
-def all_canonical_seqs(max_pre, max_per):
-    seen = set()
-    pres = [""] + ["".join(b) for n in range(1, max_pre + 1)
-                   for b in product("01", repeat=n)]
-    pers = ["".join(b) for n in range(1, max_per + 1)
-            for b in product("01", repeat=n)]
-    for pre in pres:
-        for per in pers:
-            s = Seq(pre, per)
-            if s not in seen:
-                seen.add(s)
-                yield s
 
 
 # -- classification -----------------------------------------------------------
@@ -214,19 +199,15 @@ def test_verify_phi_reports_each_failure(u, b, failure):
 
 
 def assert_matches_reference(u, b):
-    # verify_phi and sigma_member decide what the per-shift reference
-    # decides; verify_phi makes 3|pre| + 4 checks and reports a subset of
-    # the reference's failure lines
+    # verify_phi decides what the per-shift reference decides; it makes
+    # 3|pre| + 4 checks and reports a subset of the reference's failure lines
     report, ref = verify_phi(u, b), brute_verify_phi(u, b)
     assert report.passed == ref.passed, (u, b)
     assert report.checks == 3 * len(b.pre) + 4
     assert set(report.failures) <= set(ref.failures), (u, b)
     assert bool(report.failures) == bool(ref.failures)
-    zero_u, one_u = u.prepend("0"), u.prepend("1")
-    assert sigma_member(b, zero_u, one_u) == (
-        not any("bound" in f for f in ref.failures)), (u, b)
-    assert sigma_member(b, zero_u, b) == (
-        not any("below" in f or "exceeds" in f for f in ref.failures)), (u, b)
+    unbalanced = "sequence is not balanced on its doubled period"
+    assert (unbalanced in report.failures) == (unbalanced in ref.failures)
 
 
 def test_verify_phi_checks_every_shift_in_order():
@@ -253,16 +234,12 @@ def test_reference_verifier_checks_every_shift_in_order():
     assert report.failures == ref.failures[1:3] + ref.failures[-1:]
 
 
-def floor_central_word(p, q):
-    return "".join(str((n + 1) * p // q - n * p // q) for n in range(1, q - 1))
-
-
 def known_answer(rng, q):
     # u strictly between (w01)^oo and (w10)^oo: a prefix of one of them past
     # one period, one letter flipped towards the other, a random tail and
     # period; or one of the two ends itself.  Then phi(0u) = (1w0)^oo.
     p = rng.choice([p for p in range(1, q) if gcd(p, q) == 1])
-    w = floor_central_word(p, q)
+    w = floor_word(p, q)
     low = rng.random() < 0.5
     base = w + ("01" if low else "10")
     if rng.random() < 0.2:
@@ -339,12 +316,6 @@ def test_verify_phi_failures_take_linear_memory():
     assert peak < 128 * q, peak
 
 
-def test_sigma_member_examples():
-    assert sigma_member(Seq("", "10"), Seq("", "01"), Seq("", "10"))
-    assert sigma_member(ONE, Seq("0", "1"), ONE)
-    assert not sigma_member(Seq("", "1100"), Seq("0", "1100"), Seq("", "110"))
-
-
 def test_lex_world_membership_against_feasibility_search():
     # y admits a solution iff y >= phi(x): cross-check on a small family
     from lexworld.oracle import SweepConfig, brute_phi
@@ -354,7 +325,7 @@ def test_lex_world_membership_against_feasibility_search():
         least = brute_phi(x.shift(1), SweepConfig(max_period=6)) \
             if x.digit(0) == "0" else ONE
         for y in ys:
-            assert lex_world_member(x, y) == (y >= least)
+            assert (y >= phi(x).phi) == (y >= least)
 
 
 # -- finite-prefix decisions ----------------------------------------------------

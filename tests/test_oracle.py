@@ -10,9 +10,10 @@ from lexworld.central import is_balanced
 from lexworld.errors import DomainError
 from lexworld.mechanical import mech_periodic
 from lexworld.oracle import (SweepConfig, brute_F, brute_phi,
-                             enumerate_central, naive_balance,
-                             sandwich_census, _necklace_candidates)
+                             _necklace_candidates)
 from lexworld.words import Seq, ZERO
+from reference import (enumerate_central, naive_balance, sandwich_census,
+                       spread_balance)
 
 Fr = Fraction
 
@@ -24,12 +25,10 @@ PUBLIC = {
                "palindromic_closure",
     "errors": "DomainError InvariantError ParseError",
     "lexmap": "Case Classification F FResult PhiResult PrefixDecision "
-              "SturmianPhi VerifyReport classify lex_world_member phi "
-              "phi_prefix phi_sturmian phi_zero_u sigma_member verify_phi",
-    "mechanical": "characteristic_pair characteristic_sturmian_prefix "
-                  "mech_lower mech_periodic mech_upper",
-    "oracle": "SweepConfig brute_F brute_phi brute_verify_phi "
-              "enumerate_central naive_balance sandwich_census",
+              "SturmianPhi VerifyReport classify phi phi_prefix "
+              "phi_sturmian phi_zero_u verify_phi",
+    "mechanical": "characteristic_sturmian_prefix mech_periodic",
+    "oracle": "SweepConfig brute_F brute_phi",
     "words": "EQ GT LT ONE ZERO Seq check_word expansion minimal_period "
              "parse_rational parse_seq",
 }
@@ -112,7 +111,7 @@ def test_brute_f_boundaries_via_direct_search():
 
 
 def test_enumerate_central_small():
-    assert enumerate_central(1) == ["", "0", "1"]
+    assert enumerate_central(1) == ("", "0", "1")
     words3 = enumerate_central(3)
     assert "010" in words3 and "101" in words3 and "110" not in words3
     assert "010010" in enumerate_central(6)
@@ -164,10 +163,10 @@ def test_naive_balance_agrees_with_fast_balance_on_random_words():
     for _ in range(1000):
         n = rng.randrange(0, 201)
         w = "".join(rng.choice("01") for _ in range(n))
-        assert naive_balance(w) == is_balanced(w)
+        assert naive_balance(w) == is_balanced(w) == spread_balance(w)
 
 
 def test_naive_balance_agrees_on_structured_balanced_words():
     for p, q in ((5, 12), (7, 18), (13, 30)):
         w = mech_periodic(p, q).prefix(60)
-        assert naive_balance(w) and is_balanced(w)
+        assert naive_balance(w) and is_balanced(w) and spread_balance(w)
